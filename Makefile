@@ -4,11 +4,11 @@
 
 GO ?= go
 
-.PHONY: all ci vet build test race determinism lockstep bench bench-parallel bench-smoke fmt-check fuzz-smoke faults staticcheck govulncheck serve-smoke obs-smoke fleet-smoke storage-faults net-faults fsck-smoke sync-vet pgo release
+.PHONY: all ci vet build test race determinism lockstep bench bench-parallel bench-smoke fmt-check fuzz-smoke faults staticcheck govulncheck serve-smoke obs-smoke storage-faults fsck-smoke sync-vet pgo release
 
 all: ci
 
-ci: fmt-check vet sync-vet staticcheck govulncheck build race determinism faults storage-faults net-faults fuzz-smoke bench-smoke bench-parallel serve-smoke obs-smoke fleet-smoke fsck-smoke
+ci: fmt-check vet sync-vet staticcheck govulncheck build race determinism faults storage-faults fuzz-smoke bench-smoke bench-parallel serve-smoke obs-smoke fsck-smoke
 
 vet:
 	$(GO) vet ./...
@@ -120,44 +120,6 @@ obs-smoke:
 	kill -TERM $$pid; wait $$pid; \
 	echo "obs-smoke OK"
 
-# Fleet smoke: coordinator + three workers on ephemeral ports, one
-# worker SIGKILLed mid-sweep, and the sweep must still finish with a
-# merged table. The real chaos proof (byte-identical merge, counters vs
-# ledger) lives in the fleet package's -race e2e; this target proves the
-# shipped binaries wire together.
-fleet-smoke:
-	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp/rvpd" ./cmd/rvpd; \
-	$(GO) build -o "$$tmp/rvpcoord" ./cmd/rvpcoord; \
-	$(GO) build -o "$$tmp/rvpc" ./cmd/rvpc; \
-	pids=""; urls=""; \
-	for w in a b c; do \
-		"$$tmp/rvpd" -addr 127.0.0.1:0 -addr-file "$$tmp/addr-$$w" -state "$$tmp/w-$$w" -workers 1 & pids="$$pids $$!"; \
-	done; \
-	for w in a b c; do \
-		for i in $$(seq 1 100); do [ -s "$$tmp/addr-$$w" ] && break; sleep 0.1; done; \
-		[ -s "$$tmp/addr-$$w" ] || { echo "worker $$w never wrote its address"; kill $$pids; exit 1; }; \
-		urls="$$urls,http://$$(cat "$$tmp/addr-$$w")"; \
-	done; \
-	urls=$${urls#,}; \
-	"$$tmp/rvpcoord" -addr 127.0.0.1:0 -addr-file "$$tmp/addr-coord" -state "$$tmp/coord" \
-		-workers "$$urls" -lease 3s -steal-age 1s & cpid=$$!; \
-	for i in $$(seq 1 100); do [ -s "$$tmp/addr-coord" ] && break; sleep 0.1; done; \
-	[ -s "$$tmp/addr-coord" ] || { echo "rvpcoord never wrote its address"; kill $$pids $$cpid; exit 1; }; \
-	coord="http://$$(cat "$$tmp/addr-coord")"; \
-	"$$tmp/rvpc" -server "$$coord" sweep -workloads go,li,perl -predictors none,rvp -n 200000 \
-		| tee "$$tmp/submit.log"; \
-	id=$$(sed -n 's/^sweep \([a-f0-9]*\):.*/\1/p' "$$tmp/submit.log" | head -1); \
-	[ -n "$$id" ] || { echo "no sweep id parsed"; kill $$pids $$cpid; exit 1; }; \
-	sleep 1; kill -9 $$(echo $$pids | awk '{print $$1}'); \
-	echo "killed worker a mid-sweep"; \
-	"$$tmp/rvpc" -server "$$coord" sweep -wait "$$id" | tee "$$tmp/final.log"; \
-	grep -q "average" "$$tmp/final.log" || { echo "no merged table in sweep output"; kill $$pids $$cpid; exit 1; }; \
-	grep -q ": done" "$$tmp/final.log" || { echo "sweep did not finish done"; kill $$pids $$cpid; exit 1; }; \
-	kill -TERM $$cpid; wait $$cpid; \
-	kill -TERM $$pids 2>/dev/null || true; \
-	echo "fleet-smoke OK"
-
 # Fault-injection invariant suite: recovery schemes must never commit a
 # wrong value and must terminate under injected latency/flip/panic faults.
 faults:
@@ -166,20 +128,10 @@ faults:
 # Hostile-storage suite under the race detector: the crash-at-every-
 # syscall harness over every durable store, the shared torn/corrupt-tail
 # conformance matrix, the vfs fault injector's own tests, and the
-# ENOSPC-degradation e2e for both services.
+# ENOSPC-degradation e2e for the daemon.
 storage-faults:
 	$(GO) test -race -count 1 ./internal/vfs/ ./internal/wal/ ./internal/wal/waltest/
-	$(GO) test -race -count 1 -run 'TornTailMatrix|ENOSPC' ./internal/server/ ./internal/exp/ ./internal/fleet/
-
-# Hostile-network suite under the race detector: the netfault seam's
-# own conformance tests, the client's retry/deadline/SSE-resume tests
-# against injected faults, the server's tenant/deadline/slow-loris
-# admission tests, and the fleet partition-chaos e2e (real workers
-# behind fault-injecting proxies, SIGKILL, byte-identical merge).
-net-faults:
-	$(GO) test -race -count 1 ./internal/netfault/ ./internal/client/
-	$(GO) test -race -count 1 -run 'Tenant|Deadline|SlowLoris|BreakerRetryAfter' ./internal/server/
-	$(GO) test -race -count 1 -run 'TestFleetPartitionChaos|TestDigestMismatched|TestLeaseFencing' ./internal/fleet/ -timeout 10m
+	$(GO) test -race -count 1 -run 'TornTailMatrix|ENOSPC' ./internal/server/ ./internal/exp/
 
 # Durability-layer errcheck: no discarded Sync/SyncDir/Close error in
 # the packages that own persistent state or pooled connections.

@@ -1,5 +1,5 @@
-// Command rvpadmin is the offline operator toolbox for rvpd/rvpcoord
-// state directories.
+// Command rvpadmin is the offline operator toolbox for rvpd and
+// `experiments -resume` state directories.
 //
 // Usage:
 //

@@ -45,7 +45,6 @@ import (
 
 	"rvpsim/internal/client"
 	"rvpsim/internal/exp"
-	"rvpsim/internal/fleet"
 	"rvpsim/internal/obs"
 	"rvpsim/internal/server"
 	"rvpsim/internal/server/shutdown"
@@ -54,7 +53,7 @@ import (
 func main() { os.Exit(run()) }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: rvpc [-v] -server URL {submit|status|watch|trace|sweep|health} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: rvpc [-v] -server URL {submit|status|watch|trace|health} [flags]")
 	flag.PrintDefaults()
 }
 
@@ -92,8 +91,6 @@ func run() int {
 		return watch(ctx, c, flag.Args()[1:])
 	case "trace":
 		return trace(ctx, c, flag.Args()[1:])
-	case "sweep":
-		return sweep(ctx, strings.TrimRight(*serverURL, "/"), flag.Args()[1:])
 	case "health":
 		return health(ctx, c)
 	default:
@@ -107,7 +104,7 @@ func submit(ctx context.Context, c *client.Client, args []string) int {
 	fs := flag.NewFlagSet("submit", flag.ExitOnError)
 	workload := fs.String("workload", "", "workload name for a run job")
 	predictor := fs.String("predictor", "rvp", "predictor for a run job: "+strings.Join(exp.JobPredictors(), ", "))
-	recovery := fs.String("recovery", "selective", "recovery scheme: refetch, reissue, selective")
+	recovery := fs.String("recovery", "selective", "recovery scheme: "+strings.Join(exp.JobRecoveries(), ", "))
 	figure := fs.String("figure", "", "figure sweep instead of a single run: "+strings.Join(exp.JobFigures(), ", "))
 	n := fs.Uint64("n", 0, "committed-instruction budget (0 = server default)")
 	key := fs.String("key", "", "idempotency key (generated when empty; reuse to retry safely)")
@@ -196,83 +193,6 @@ func printEvent(ev server.JobEvent) {
 		fmt.Printf("%s done (attempt %d)\n", ts, ev.Attempt)
 	default:
 		fmt.Printf("%s %s\n", ts, ev.Type)
-	}
-}
-
-// sweep talks to an rvpcoord (point -server at the coordinator, not an
-// rvpd): with axis flags it submits a fleet sweep; with a positional
-// sweep ID it reports (or, with -wait, waits for) an existing one.
-func sweep(ctx context.Context, base string, args []string) int {
-	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
-	name := fs.String("name", "", "sweep/table name (defaulted from the sweep ID)")
-	wls := fs.String("workloads", "", "comma-separated workloads (empty = all)")
-	preds := fs.String("predictors", "", "comma-separated predictors (empty = all: "+strings.Join(exp.JobPredictors(), ", ")+")")
-	recs := fs.String("recoveries", "", "comma-separated recovery schemes (empty = selective)")
-	n := fs.Uint64("n", 0, "committed-instruction budget per cell (0 = coordinator default)")
-	wait := fs.Bool("wait", false, "poll until every cell is terminal and print the merged table")
-	poll := fs.Duration("poll", 500*time.Millisecond, "status poll interval with -wait")
-	asJSON := fs.Bool("json", false, "print the sweep status as JSON")
-	fs.Parse(args)
-
-	cc := fleet.NewCoordClient(base)
-	var st fleet.SweepStatus
-	var err error
-	if fs.NArg() >= 1 {
-		id := fs.Arg(0)
-		if *wait {
-			st, err = cc.Wait(ctx, id, *poll)
-		} else {
-			st, err = cc.Status(ctx, id)
-		}
-	} else {
-		split := func(s string) []string {
-			if s == "" {
-				return nil
-			}
-			return strings.Split(s, ",")
-		}
-		spec := fleet.SweepSpec{
-			Name: *name, Workloads: split(*wls), Predictors: split(*preds),
-			Recoveries: split(*recs), Insts: *n,
-		}
-		st, err = cc.SubmitSweep(ctx, spec)
-		if err == nil && *wait {
-			st, err = cc.Wait(ctx, st.ID, *poll)
-		}
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rvpc: sweep: %v\n", err)
-		return 1
-	}
-	renderSweep(st, *asJSON)
-	if st.Terminal() && st.State != "done" {
-		return 1
-	}
-	return 0
-}
-
-// renderSweep prints one sweep status for humans (or as JSON).
-func renderSweep(st fleet.SweepStatus, asJSON bool) {
-	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(st)
-		return
-	}
-	fmt.Printf("sweep %s: %s (%d/%d done, %d failed, %d leased, %d ready)\n",
-		st.ID, st.State, st.Done, st.Total, st.Failed, st.Leased, st.Ready)
-	for _, w := range st.Workers {
-		state := "down"
-		if w.Live {
-			state = "live"
-		}
-		if w.Draining {
-			state = "draining"
-		}
-		fmt.Printf("  worker %s: %s, %d leased, %d done\n", w.URL, state, w.Leased, w.Done)
-	}
-	if st.TableText != "" {
-		fmt.Println(st.TableText)
 	}
 }
 

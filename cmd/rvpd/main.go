@@ -8,14 +8,8 @@
 //	     [-queue depth] [-max-wait dur] [-job-timeout dur]
 //	     [-drain-timeout dur] [-breaker-threshold n] [-breaker-cooloff dur]
 //	     [-insts n] [-ckpt-every n] [-watchdog cycles] [-max-body bytes]
-//	     [-body-read-timeout dur] [-tenant-queue n] [-tenant-rate r]
-//	     [-tenant-burst n] [-log-level level] [-log-json]
+//	     [-body-read-timeout dur] [-log-level level] [-log-json]
 //	     [-progress-every n] [-no-telemetry]
-//	     [-advertise coord-url] [-advertise-url worker-url]
-//
-// With -advertise, the daemon self-registers its bound address with a
-// fleet coordinator (POST /v1/workers) after the listener comes up,
-// retrying with backoff while the coordinator starts.
 //
 // Endpoints: POST /v1/jobs (submit; 429/503 + Retry-After under
 // overload), GET /v1/jobs/{id} (status/results), GET /v1/jobs/{id}/events
@@ -53,7 +47,6 @@ import (
 	"strings"
 	"time"
 
-	"rvpsim/internal/client"
 	"rvpsim/internal/server"
 	"rvpsim/internal/server/shutdown"
 )
@@ -76,15 +69,10 @@ func run() int {
 	watchdog := flag.Int("watchdog", 0, "abort a run if no instruction commits for N simulated cycles (0 = off)")
 	maxBody := flag.Int64("max-body", 1<<20, "maximum POST body size in bytes (larger gets 413)")
 	bodyReadTimeout := flag.Duration("body-read-timeout", 30*time.Second, "slow-loris guard: deadline for reading one submission body (408 past it)")
-	tenantQueue := flag.Int("tenant-queue", 0, "per-tenant queued-job quota (0 = only the shared queue limits)")
-	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant sustained submissions/sec (0 = unlimited)")
-	tenantBurst := flag.Int("tenant-burst", 1, "per-tenant token-bucket burst")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	logJSON := flag.Bool("log-json", false, "emit logs as JSON instead of text")
 	progressEvery := flag.Uint64("progress-every", 100_000, "live-progress heartbeat cadence in committed instructions")
 	noTelemetry := flag.Bool("no-telemetry", false, "disable job tracing, event streams and the flight recorder (benchmarking)")
-	advertise := flag.String("advertise", "", "fleet coordinator base URL to self-register with once listening (e.g. http://127.0.0.1:9090)")
-	advertiseURL := flag.String("advertise-url", "", "worker URL to advertise (default http://<bound addr>)")
 	flag.Parse()
 
 	var level slog.Level
@@ -116,9 +104,6 @@ func run() int {
 		WatchdogCycles:   *watchdog,
 		MaxBody:          *maxBody,
 		BodyReadTimeout:  *bodyReadTimeout,
-		TenantQueueDepth: *tenantQueue,
-		TenantRate:       *tenantRate,
-		TenantBurst:      *tenantBurst,
 		Logger:           logger,
 		ProgressEvery:    *progressEvery,
 		DisableTelemetry: *noTelemetry,
@@ -151,24 +136,6 @@ func run() int {
 	ctx, stop := shutdown.Context(context.Background())
 	defer stop()
 
-	// Self-register with the fleet coordinator once the listener is up.
-	// Registration retries in the background (the coordinator may still
-	// be starting) and gives up quietly on shutdown; a permanent
-	// rejection is logged but does not kill the daemon — it can still
-	// serve direct submissions.
-	if *advertise != "" {
-		self := *advertiseURL
-		if self == "" {
-			self = "http://" + bound
-		}
-		go func() {
-			cl := client.New(*advertise, client.WithLogger(logger.With("component", "advertise")))
-			if err := cl.RegisterWorker(ctx, self); err != nil && ctx.Err() == nil {
-				logger.Warn("coordinator registration failed", "coordinator", *advertise,
-					"worker", self, "error", err)
-			}
-		}()
-	}
 	select {
 	case <-ctx.Done():
 		logger.Info("signal received; draining")

@@ -28,6 +28,7 @@ import (
 	"rvpsim/internal/exp"
 	"rvpsim/internal/obs"
 	"rvpsim/internal/server"
+	"rvpsim/internal/simerr"
 )
 
 // Backoff shapes the retry schedule: attempt n sleeps
@@ -62,14 +63,12 @@ func (b Backoff) delay(attempt int, rng func() float64) time.Duration {
 
 // Client talks to one rvpd instance.
 type Client struct {
-	base       string // e.g. "http://127.0.0.1:8080"
-	hc         *http.Client
-	backoff    Backoff
-	attempts   int
-	maxElapsed time.Duration
-	tenant     string
-	log        *slog.Logger
-	tracer     *obs.Tracer
+	base     string // e.g. "http://127.0.0.1:8080"
+	hc       *http.Client
+	backoff  Backoff
+	attempts int
+	log      *slog.Logger
+	tracer   *obs.Tracer
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -86,20 +85,6 @@ func WithBackoff(b Backoff) Option { return func(c *Client) { c.backoff = b } }
 
 // WithMaxAttempts bounds submission attempts (default 10).
 func WithMaxAttempts(n int) Option { return func(c *Client) { c.attempts = n } }
-
-// WithMaxElapsed bounds the total wall-clock time one Submit call may
-// spend across all attempts and backoff sleeps. Attempt counts alone do
-// not bound time — a server sending large Retry-After hints can stretch
-// ten attempts over minutes — so callers that hold a time-bounded
-// resource (a fleet coordinator holding a cell lease, say) cap elapsed
-// time too. Zero leaves only the attempt cap and the caller's context.
-func WithMaxElapsed(d time.Duration) Option { return func(c *Client) { c.maxElapsed = d } }
-
-// WithTenant stamps every request with the tenant name (the server's
-// X-Rvp-Tenant header), so per-tenant quotas and rate limits attribute
-// the client's traffic correctly. Empty means the server's default
-// tenant.
-func WithTenant(t string) Option { return func(c *Client) { c.tenant = t } }
 
 // WithSeed makes the jitter deterministic (tests).
 func WithSeed(seed int64) Option {
@@ -153,6 +138,21 @@ func (e *RetryableError) Error() string {
 
 func (e *RetryableError) Unwrap() error { return e.Last }
 
+// CorruptResultError reports a served job whose result fails its
+// integrity seal (exp.JobResult.Verify): the payload no longer matches
+// the digest the daemon stamped when it finished the job, so it was
+// damaged at rest or in transit. It matches simerr.ErrCorrupt.
+type CorruptResultError struct {
+	Job    string
+	Digest string
+}
+
+func (e *CorruptResultError) Error() string {
+	return fmt.Sprintf("job %s: result does not match its seal %s", e.Job, e.Digest)
+}
+
+func (e *CorruptResultError) Unwrap() error { return simerr.ErrCorrupt }
+
 // NewIdempotencyKey returns a fresh random key.
 func NewIdempotencyKey() string {
 	return fmt.Sprintf("k%08x%08x", rand.Uint32(), rand.Uint32())
@@ -165,24 +165,6 @@ func NewIdempotencyKey() string {
 func (c *Client) Submit(ctx context.Context, spec exp.JobSpec, key string) (server.JobStatus, error) {
 	if key == "" {
 		key = NewIdempotencyKey()
-	}
-	// The job's propagated deadline is the caller's own deadline,
-	// captured before the retry budget below narrows the context: the
-	// elapsed cap bounds this submission, not the job's execution, and
-	// conflating the two would make the server kill every job slower
-	// than one retry budget.
-	var jobDeadline time.Time
-	if d, ok := ctx.Deadline(); ok {
-		jobDeadline = d
-	}
-	// The elapsed cap is a context deadline, not bookkeeping: it bounds
-	// in-flight requests and backoff sleeps alike, so a submission can
-	// never outlive its budget waiting on a slow transport or a server
-	// whose Retry-After hints keep stretching the schedule.
-	if c.maxElapsed > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.maxElapsed)
-		defer cancel()
 	}
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -203,7 +185,7 @@ func (c *Client) Submit(ctx context.Context, spec exp.JobSpec, key string) (serv
 			}
 		}
 		asp := c.tracer.Start(ssp.Context(), "submit_attempt")
-		st, status, err := c.trySubmit(ctx, body, key, asp.Context(), jobDeadline)
+		st, status, err := c.trySubmit(ctx, body, key, asp.Context())
 		asp.SetAttr("status", strconv.Itoa(status))
 		asp.EndErr(err)
 		switch {
@@ -281,13 +263,12 @@ func (c *Client) sleep(ctx context.Context, attempt int, retryAfter time.Duratio
 	}
 }
 
-// newRequest builds one API request with the client's common headers:
-// tenant identity and — when ctx carries a deadline — the propagated
-// X-Rvp-Deadline, so the server can refuse or cancel work whose caller
-// has already given up. POST bodies are buffered ([]byte) and GetBody
-// is guaranteed non-nil, so any retry — ours or a transport-level
-// redirect/replay — rewinds a fresh reader instead of resending a
-// drained one.
+// newRequest builds one API request. When ctx carries a deadline it is
+// propagated as X-Rvp-Deadline, so the server can refuse or cancel work
+// whose caller has already given up. POST bodies are buffered ([]byte)
+// and GetBody is guaranteed non-nil, so any retry — ours or a
+// transport-level redirect/replay — rewinds a fresh reader instead of
+// resending a drained one.
 func (c *Client) newRequest(ctx context.Context, method, path string, body []byte) (*http.Request, error) {
 	var rd io.Reader
 	if body != nil {
@@ -306,26 +287,16 @@ func (c *Client) newRequest(ctx context.Context, method, path string, body []byt
 		req.ContentLength = int64(len(body))
 		req.Header.Set("Content-Type", "application/json")
 	}
-	if c.tenant != "" {
-		req.Header.Set(server.TenantHeader, c.tenant)
-	}
 	if d, ok := ctx.Deadline(); ok {
 		req.Header.Set(server.DeadlineHeader, strconv.FormatInt(d.UnixMicro(), 10))
 	}
 	return req, nil
 }
 
-func (c *Client) trySubmit(ctx context.Context, body []byte, key string, tctx obs.SpanContext, jobDeadline time.Time) (server.JobStatus, int, error) {
+func (c *Client) trySubmit(ctx context.Context, body []byte, key string, tctx obs.SpanContext) (server.JobStatus, int, error) {
 	req, err := c.newRequest(ctx, http.MethodPost, "/v1/jobs", body)
 	if err != nil {
 		return server.JobStatus{}, 0, err
-	}
-	// newRequest stamped the request context's deadline (the retry
-	// budget); the job deadline the server enforces is the caller's.
-	if jobDeadline.IsZero() {
-		req.Header.Del(server.DeadlineHeader)
-	} else {
-		req.Header.Set(server.DeadlineHeader, strconv.FormatInt(jobDeadline.UnixMicro(), 10))
 	}
 	req.Header.Set("Idempotency-Key", key)
 	if tctx.Trace != "" {
@@ -338,13 +309,25 @@ func (c *Client) trySubmit(ctx context.Context, body []byte, key string, tctx ob
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusAccepted || resp.StatusCode == http.StatusOK {
-		var st server.JobStatus
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			return server.JobStatus{}, resp.StatusCode, fmt.Errorf("decoding response: %w", err)
-		}
-		return st, resp.StatusCode, nil
+		st, err := decodeStatus(resp)
+		return st, resp.StatusCode, err
 	}
 	return server.JobStatus{}, resp.StatusCode, decodeError(resp)
+}
+
+// decodeStatus decodes a JobStatus body and checks its result's seal,
+// so no caller ever sees a result that is not the one the daemon
+// produced. A resubmitted finished job answers with its result too, so
+// Submit checks the seal as well as Status.
+func decodeStatus(resp *http.Response) (server.JobStatus, error) {
+	var st server.JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		return server.JobStatus{}, fmt.Errorf("decoding status: %w", err)
+	}
+	if !st.Result.Verify() {
+		return server.JobStatus{}, &CorruptResultError{Job: st.ID, Digest: st.Result.Digest}
+	}
+	return st, nil
 }
 
 // decodeError turns a non-2xx response into an *httpError.
@@ -365,7 +348,8 @@ func decodeError(resp *http.Response) error {
 	return he
 }
 
-// Status fetches one job's current state.
+// Status fetches one job's current state. A result that fails its seal
+// is refused with a *CorruptResultError.
 func (c *Client) Status(ctx context.Context, id string) (server.JobStatus, error) {
 	req, err := c.newRequest(ctx, http.MethodGet, "/v1/jobs/"+id, nil)
 	if err != nil {
@@ -379,16 +363,13 @@ func (c *Client) Status(ctx context.Context, id string) (server.JobStatus, error
 	if resp.StatusCode != http.StatusOK {
 		return server.JobStatus{}, decodeError(resp)
 	}
-	var st server.JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return server.JobStatus{}, fmt.Errorf("decoding status: %w", err)
-	}
-	return st, nil
+	return decodeStatus(resp)
 }
 
 // Wait polls the job until it reaches a terminal state. Transport
 // errors and 5xx during polling are tolerated (the daemon may be
-// restarting mid-drain); poll sets the cadence (default 200ms).
+// restarting mid-drain); a 404 or a result that fails its seal ends the
+// wait. poll sets the cadence (default 200ms).
 func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (server.JobStatus, error) {
 	if poll <= 0 {
 		poll = 200 * time.Millisecond
@@ -405,6 +386,10 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (serve
 			if errors.As(err, &he) && he.status == http.StatusNotFound {
 				// A restarted daemon replays its store before serving, so
 				// a 404 here means the job truly never existed.
+				return server.JobStatus{}, err
+			}
+			var ce *CorruptResultError
+			if errors.As(err, &ce) {
 				return server.JobStatus{}, err
 			}
 		}
@@ -426,67 +411,6 @@ func (c *Client) SubmitAndWait(ctx context.Context, spec exp.JobSpec, key string
 		return st, nil
 	}
 	return c.Wait(ctx, st.ID, poll)
-}
-
-// RegisterWorker announces a worker's base URL to a fleet coordinator
-// (the Client's base must point at the coordinator). Registration is
-// idempotent on the coordinator side, so the call retries with the same
-// backoff schedule as Submit until the coordinator accepts or a
-// permanent 4xx says the URL itself is bad. Daemons use this to
-// self-advertise on startup (rvpd -advertise) while the coordinator may
-// still be coming up.
-func (c *Client) RegisterWorker(ctx context.Context, workerURL string) error {
-	if c.maxElapsed > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.maxElapsed)
-		defer cancel()
-	}
-	body, err := json.Marshal(map[string]string{"url": workerURL})
-	if err != nil {
-		return err
-	}
-	var lastErr error
-	lastStatus := 0
-	for attempt := 0; attempt < c.attempts; attempt++ {
-		if attempt > 0 {
-			if err := c.sleep(ctx, attempt-1, retryAfterHint(lastErr)); err != nil {
-				return err
-			}
-		}
-		status, err := c.tryRegister(ctx, body)
-		switch {
-		case err == nil:
-			c.log.Info("worker registered", "worker", workerURL, "coordinator", c.base,
-				"attempt", attempt+1)
-			return nil
-		case ctx.Err() != nil:
-			return ctx.Err()
-		case !retryable(status, err):
-			c.log.Warn("worker registration rejected permanently", "status", status, "error", err)
-			return err
-		}
-		c.log.Debug("worker registration failed; backing off", "attempt", attempt+1,
-			"status", status, "error", err)
-		lastErr, lastStatus = err, status
-	}
-	return &RetryableError{Attempts: c.attempts, LastStatus: lastStatus, Last: lastErr}
-}
-
-func (c *Client) tryRegister(ctx context.Context, body []byte) (int, error) {
-	req, err := c.newRequest(ctx, http.MethodPost, "/v1/workers", body)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusAccepted {
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
-		return resp.StatusCode, nil
-	}
-	return resp.StatusCode, decodeError(resp)
 }
 
 // CheckEndpoint GETs one of the daemon's plumbing endpoints (/healthz,

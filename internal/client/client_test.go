@@ -165,55 +165,6 @@ func TestSubmitAbsentRetryAfterUsesBackoff(t *testing.T) {
 	}
 }
 
-func TestSubmitMaxElapsedCapsTotalTime(t *testing.T) {
-	// The server's Retry-After hints would stretch ten attempts far past
-	// any attempt cap — 60s each here — so only the elapsed-time cap can
-	// bound the call. It is a context deadline, so it cuts off backoff
-	// sleeps mid-wait, not just between attempts.
-	ss := &scriptedServer{replies: []func(http.ResponseWriter){
-		reply(http.StatusServiceUnavailable, "60", nil),
-		reply(http.StatusServiceUnavailable, "60", nil),
-	}}
-	ts := httptest.NewServer(ss.handler())
-	defer ts.Close()
-	c := New(ts.URL, WithBackoff(fastBackoff()), WithSeed(1),
-		WithMaxElapsed(300*time.Millisecond))
-	start := time.Now()
-	_, err := c.Submit(context.Background(), testSpec, "k")
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatalf("Submit succeeded; want the elapsed cap to cut it off")
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("err = %v, want context.DeadlineExceeded from the elapsed cap", err)
-	}
-	if elapsed > 5*time.Second {
-		t.Errorf("Submit ran %v under a 300ms elapsed cap", elapsed)
-	}
-}
-
-func TestSubmitMaxElapsedLeavesCallerContextAlone(t *testing.T) {
-	// The cap must bound one Submit call, not poison the caller's
-	// context for later calls.
-	ss := &scriptedServer{replies: []func(http.ResponseWriter){
-		reply(http.StatusAccepted, "", server.JobStatus{ID: "j1", State: server.StateQueued}),
-		reply(http.StatusAccepted, "", server.JobStatus{ID: "j2", State: server.StateQueued}),
-	}}
-	ts := httptest.NewServer(ss.handler())
-	defer ts.Close()
-	c := New(ts.URL, WithBackoff(fastBackoff()), WithMaxElapsed(time.Minute))
-	ctx := context.Background()
-	if _, err := c.Submit(ctx, testSpec, "k1"); err != nil {
-		t.Fatalf("first Submit: %v", err)
-	}
-	if _, err := c.Submit(ctx, testSpec, "k2"); err != nil {
-		t.Fatalf("second Submit: %v", err)
-	}
-	if ctx.Err() != nil {
-		t.Fatalf("caller context canceled by WithMaxElapsed: %v", ctx.Err())
-	}
-}
-
 func TestSubmitFailsFastOnClientError(t *testing.T) {
 	ss := &scriptedServer{replies: []func(http.ResponseWriter){
 		reply(http.StatusBadRequest, "", map[string]string{"error": "bad spec"}),

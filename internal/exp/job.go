@@ -79,8 +79,7 @@ func JobFigures() []string { return sortedKeys(jobFigures) }
 func JobPredictors() []string { return sortedKeys(jobPredictors) }
 
 // JobRecoveries lists the recovery-scheme names a "run" job accepts,
-// sorted. Fleet sweeps use it to validate their recovery axis against
-// the same vocabulary the job API enforces.
+// sorted.
 func JobRecoveries() []string { return sortedKeys(jobRecoveries) }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -195,9 +194,9 @@ type JobResult struct {
 	Table *stats.Table    `json:"table,omitempty"`
 	Text  string          `json:"text,omitempty"`
 	// Digest is the envelope's integrity seal (Seal/Verify): a content
-	// hash stamped by the producing daemon so a consumer — the fleet
-	// coordinator above all — can detect a result corrupted in transit
-	// before merging it.
+	// hash stamped by the producing daemon so a consumer — the job
+	// client checks it on every Status/Wait — can detect a result
+	// corrupted at rest or in transit before using it.
 	Digest string `json:"digest,omitempty"`
 }
 
@@ -225,8 +224,8 @@ func (r *JobResult) Seal() { r.Digest = r.contentDigest() }
 
 // Verify reports whether the sealed digest matches the content. An
 // unsealed result (no digest) verifies trivially — it carries no claim
-// to check; every daemon in this tree seals, so fleet traffic is always
-// covered.
+// to check; every daemon in this tree seals, so served results are
+// always covered.
 func (r *JobResult) Verify() bool {
 	if r == nil || r.Digest == "" {
 		return true

@@ -123,46 +123,6 @@ func (v *GaugeVec) Values() map[string]int64 {
 	return out
 }
 
-// CounterVec is a family of counters distinguished by one label ("which
-// tenant", "which workload"). Member counters register lazily on first
-// With and render as `name{label="value"} v` lines in Prometheus
-// exposition. Safe for concurrent use.
-type CounterVec struct {
-	name  string
-	help  string
-	label string
-
-	mu   sync.Mutex
-	ctrs map[string]*Counter
-}
-
-// Name returns the family name.
-func (v *CounterVec) Name() string { return v.name }
-
-// With returns (registering if needed) the member counter for the label
-// value.
-func (v *CounterVec) With(value string) *Counter {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	c, ok := v.ctrs[value]
-	if !ok {
-		c = &Counter{name: v.name, help: v.help}
-		v.ctrs[value] = c
-	}
-	return c
-}
-
-// Values returns a copy of the current per-label values.
-func (v *CounterVec) Values() map[string]int64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	out := make(map[string]int64, len(v.ctrs))
-	for label, c := range v.ctrs {
-		out[label] = c.Value()
-	}
-	return out
-}
-
 // Histogram is a fixed-bucket cumulative histogram. Bounds are inclusive
 // upper bounds in ascending order; one extra overflow bucket (+Inf) is
 // implicit. Buckets never change after registration, so observations are
@@ -366,10 +326,9 @@ func LinearBuckets(start, width int64, n int) []int64 {
 type Registry struct {
 	mu    sync.Mutex
 	order []string
-	kinds map[string]string // name -> counter|gauge|countervec|gaugevec|histogram
+	kinds map[string]string // name -> counter|gauge|gaugevec|histogram
 	ctrs  map[string]*Counter
 	gaus  map[string]*Gauge
-	cvecs map[string]*CounterVec
 	gvecs map[string]*GaugeVec
 	hists map[string]*Histogram
 }
@@ -380,7 +339,6 @@ func NewRegistry() *Registry {
 		kinds: map[string]string{},
 		ctrs:  map[string]*Counter{},
 		gaus:  map[string]*Gauge{},
-		cvecs: map[string]*CounterVec{},
 		gvecs: map[string]*GaugeVec{},
 		hists: map[string]*Histogram{},
 	}
@@ -421,24 +379,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 		r.gaus[name] = g
 	}
 	return g
-}
-
-// CounterVec returns (registering if needed) the named labeled counter
-// family. A second registration must use the same label name.
-func (r *Registry) CounterVec(name, help, label string) *CounterVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.claim(name, "countervec")
-	v, ok := r.cvecs[name]
-	if !ok {
-		v = &CounterVec{name: name, help: help, label: label, ctrs: map[string]*Counter{}}
-		r.cvecs[name] = v
-		return v
-	}
-	if v.label != label {
-		panic(fmt.Sprintf("obs: counter vec %q registered with labels %q and %q", name, v.label, label))
-	}
-	return v
 }
 
 // GaugeVec returns (registering if needed) the named labeled gauge
@@ -496,11 +436,10 @@ func (r *Registry) Histogram(name, help string, bounds []int64) *Histogram {
 
 // Snapshot is a point-in-time copy of every instrument in a registry.
 type Snapshot struct {
-	Counters    map[string]int64             `json:"counters,omitempty"`
-	Gauges      map[string]int64             `json:"gauges,omitempty"`
-	CounterVecs map[string]map[string]int64  `json:"counter_vecs,omitempty"`
-	GaugeVecs   map[string]map[string]int64  `json:"gauge_vecs,omitempty"`
-	Histograms  map[string]HistogramSnapshot `json:"histograms,omitempty"`
+	Counters   map[string]int64             `json:"counters,omitempty"`
+	Gauges     map[string]int64             `json:"gauges,omitempty"`
+	GaugeVecs  map[string]map[string]int64  `json:"gauge_vecs,omitempty"`
+	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
 
 // Snapshot copies the registry's current values.
@@ -517,12 +456,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for n, g := range r.gaus {
 		s.Gauges[n] = g.Value()
-	}
-	if len(r.cvecs) > 0 {
-		s.CounterVecs = make(map[string]map[string]int64, len(r.cvecs))
-		for n, v := range r.cvecs {
-			s.CounterVecs[n] = v.Values()
-		}
 	}
 	if len(r.gvecs) > 0 {
 		s.GaugeVecs = make(map[string]map[string]int64, len(r.gvecs))
@@ -561,14 +494,6 @@ func (r *Registry) Merge(o *Registry) error {
 			help := o.gaus[name].help
 			o.mu.Unlock()
 			r.Gauge(name, help).Set(v)
-		case "countervec":
-			o.mu.Lock()
-			ov := o.cvecs[name]
-			o.mu.Unlock()
-			v := r.CounterVec(name, ov.help, ov.label)
-			for label, val := range ov.Values() {
-				v.With(label).Add(val)
-			}
 		case "gaugevec":
 			o.mu.Lock()
 			ov := o.gvecs[name]
@@ -625,29 +550,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			}
 			if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", name, name, g.Value()); err != nil {
 				return err
-			}
-		case "countervec":
-			r.mu.Lock()
-			v := r.cvecs[name]
-			r.mu.Unlock()
-			if v.help != "" {
-				if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, v.help); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "# TYPE %s counter\n", name); err != nil {
-				return err
-			}
-			vals := v.Values()
-			labels := make([]string, 0, len(vals))
-			for label := range vals {
-				labels = append(labels, label)
-			}
-			sort.Strings(labels)
-			for _, label := range labels {
-				if _, err := fmt.Fprintf(w, "%s{%s=%q} %d\n", name, v.label, label, vals[label]); err != nil {
-					return err
-				}
 			}
 		case "gaugevec":
 			r.mu.Lock()

@@ -7,22 +7,15 @@
 // The contract with clients:
 //
 //   - POST /v1/jobs submits a job (exp.JobSpec JSON). 202 + JobStatus on
-//     acceptance. 429 + Retry-After when the queue is full, its p99
-//     wait exceeds the admission limit, or the caller's tenant is over
-//     its queued-job quota or token-bucket rate (the Retry-After is
-//     per-tenant: the queue's p99 wait, or the time to the next token);
-//     503 + Retry-After while draining or while the workload's circuit
-//     breaker is open (the hint matches the remaining cooloff); 400 for
-//     invalid specs, malformed X-Rvp-Tenant names, and malformed or
-//     already-expired X-Rvp-Deadline values; 408 when the request body
-//     does not arrive within the body-read timeout (slow-loris defense;
-//     the connection closes); 413 for oversized bodies (rejected before
-//     decoding); 409 when an Idempotency-Key is reused with a different
-//     spec.
-//   - X-Rvp-Tenant names the caller's admission bucket ("default" when
-//     absent; up to 64 bytes of [A-Za-z0-9._-]). Per-tenant quotas and
-//     rate limits are opt-in server config; srv_tenant_* metrics
-//     attribute load either way.
+//     acceptance. 429 + Retry-After when the queue is full or its p99
+//     wait exceeds the admission limit; 503 + Retry-After while
+//     draining or while the workload's circuit breaker is open (the
+//     hint matches the remaining cooloff); 400 for invalid specs and
+//     malformed or already-expired X-Rvp-Deadline values; 408 when the
+//     request body does not arrive within the body-read timeout
+//     (slow-loris defense; the connection closes); 413 for oversized
+//     bodies (rejected before decoding); 409 when an Idempotency-Key is
+//     reused with a different spec.
 //   - X-Rvp-Deadline (unix microseconds) propagates the caller's
 //     end-to-end deadline: expired at submit is rejected, a queued job
 //     whose deadline passes is abandoned as failed/timeout without
@@ -87,9 +80,6 @@ type JobStatus struct {
 	// TraceID identifies the job's distributed trace (client-supplied
 	// via X-Rvp-Trace-Id, or daemon-assigned).
 	TraceID string `json:"trace_id,omitempty"`
-	// Tenant is the quota bucket the job was admitted under
-	// (X-Rvp-Tenant, DefaultTenant for anonymous callers).
-	Tenant string `json:"tenant,omitempty"`
 	// DeadlineUS is the caller's propagated deadline (X-Rvp-Deadline,
 	// unix microseconds; 0 none). The daemon abandons queued jobs past
 	// it and cancels running ones at it.

@@ -60,90 +60,6 @@ func plugWorker(t *testing.T, srv *Server, ts *httptest.Server) string {
 	return st.ID
 }
 
-func TestTenantQuotaSheds429(t *testing.T) {
-	srv, ts := newTestServer(t, func(c *Config) {
-		c.TenantQueueDepth = 1
-		c.DrainTimeout = time.Second // the plug job is cancelled at Close
-	})
-	plugWorker(t, srv, ts)
-
-	// Tenant A's first queued job fills its quota of 1.
-	resp := postJobHeaders(t, ts, runBody, "a1", map[string]string{TenantHeader: "tenant-a"})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("tenant-a first submit = %d, want 202", resp.StatusCode)
-	}
-	resp.Body.Close()
-
-	// Its second is shed with a per-tenant 429 + Retry-After.
-	resp = postJobHeaders(t, ts, runBody, "a2", map[string]string{TenantHeader: "tenant-a"})
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("tenant-a over quota = %d, want 429", resp.StatusCode)
-	}
-	ra, err := strconv.Atoi(resp.Header.Get("Retry-After"))
-	if err != nil || ra < 1 {
-		t.Fatalf("quota 429 Retry-After = %q, want >= 1s", resp.Header.Get("Retry-After"))
-	}
-	resp.Body.Close()
-
-	// Tenant B is untouched by A's quota: the shared queue still has
-	// room.
-	resp = postJobHeaders(t, ts, runBody, "b1", map[string]string{TenantHeader: "tenant-b"})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("tenant-b submit = %d, want 202 (another tenant's quota leaked)", resp.StatusCode)
-	}
-	resp.Body.Close()
-
-	if shed := srv.Registry().CounterVec("srv_tenant_shed_total", "", "tenant").With("tenant-a").Value(); shed != 1 {
-		t.Errorf("srv_tenant_shed_total{tenant-a} = %d, want 1", shed)
-	}
-	if q := srv.tenants.queuedNow("tenant-a"); q != 1 {
-		t.Errorf("tenant-a queued = %d, want 1", q)
-	}
-}
-
-func TestTenantRateLimitSheds429(t *testing.T) {
-	_, ts := newTestServer(t, func(c *Config) {
-		c.TenantRate = 0.5 // one token per 2s
-		c.TenantBurst = 1
-	})
-
-	resp := postJobHeaders(t, ts, runBody, "r1", map[string]string{TenantHeader: "noisy"})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("first submit = %d, want 202", resp.StatusCode)
-	}
-	resp.Body.Close()
-
-	// The bucket is empty; the rejection's Retry-After is the time to
-	// the next token (~2s), never below the 1s floor.
-	resp = postJobHeaders(t, ts, runBody, "r2", map[string]string{TenantHeader: "noisy"})
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("second submit = %d, want 429", resp.StatusCode)
-	}
-	ra, err := strconv.Atoi(resp.Header.Get("Retry-After"))
-	if err != nil || ra < 1 || ra > 3 {
-		t.Fatalf("rate 429 Retry-After = %q, want ~2s", resp.Header.Get("Retry-After"))
-	}
-	resp.Body.Close()
-
-	// Another tenant has its own bucket.
-	resp = postJobHeaders(t, ts, runBody, "q1", map[string]string{TenantHeader: "quiet"})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("other tenant = %d, want 202 (buckets shared across tenants)", resp.StatusCode)
-	}
-	resp.Body.Close()
-}
-
-func TestTenantHeaderValidation(t *testing.T) {
-	_, ts := newTestServer(t, nil)
-	for _, bad := range []string{"has space", "semi;colon", strings.Repeat("x", 65)} {
-		resp := postJobHeaders(t, ts, runBody, "", map[string]string{TenantHeader: bad})
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("tenant %q = %d, want 400", bad, resp.StatusCode)
-		}
-		resp.Body.Close()
-	}
-}
-
 func TestDeadlineHeaderValidation(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 	for _, bad := range []string{"banana", "-1", "0"} {

@@ -217,7 +217,7 @@ func TestSyntheticTerminalEventAfterRestart(t *testing.T) {
 	}
 }
 
-// TestWorkerAndBreakerGauges pins the fleet-introspection metrics: the
+// TestWorkerAndBreakerGauges pins the introspection metrics: the
 // worker-pool gauge and the per-workload breaker state family on
 // /metrics, flipping a breaker open via injected failures.
 func TestWorkerAndBreakerGauges(t *testing.T) {

@@ -24,9 +24,6 @@ type job struct {
 	// written after it entered the queue: the client got a 503, so a
 	// worker must discard it instead of running unacknowledged work.
 	dropped atomic.Bool
-	// tenant is the quota bucket charged for the job; dequeue releases
-	// it (empty on jobs constructed outside admission in tests).
-	tenant string
 	// deadline is the caller's propagated deadline (zero: none). Jobs
 	// past it are abandoned at dequeue; running jobs are cancelled.
 	deadline time.Time

@@ -6,12 +6,12 @@ import (
 	"testing"
 )
 
-// TestReadyzDrainTransition pins the contract the fleet coordinator
-// reads: a serving daemon answers 200 with ready:true/draining:false,
-// and from the moment SIGTERM starts a drain, /readyz answers 503 with
-// an explicit Draining:true body — so a coordinator stops assigning
-// cells to the worker (drain) instead of treating it as dead (down),
-// while the still-listening endpoint keeps status polls alive.
+// TestReadyzDrainTransition pins the readiness contract: a serving
+// daemon answers 200 with ready:true/draining:false, and from the
+// moment SIGTERM starts a drain, /readyz answers 503 with an explicit
+// Draining:true body — so a load balancer or script can tell a drain
+// from a dead daemon, while the still-listening endpoint keeps status
+// polls alive.
 func TestReadyzDrainTransition(t *testing.T) {
 	srv, ts := newTestServer(t, nil)
 

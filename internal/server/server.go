@@ -90,19 +90,6 @@ type Config struct {
 	// StorageProbeEvery is how often a storage-degraded daemon probes
 	// the disk for recovery (default 2s).
 	StorageProbeEvery time.Duration
-	// TenantQueueDepth caps how many jobs one tenant (X-Rvp-Tenant, or
-	// DefaultTenant) may hold queued at once, so a single tenant cannot
-	// fill the shared queue (0 disables: only the shared queue limits,
-	// which keeps single-tenant deployments on the plain admission
-	// path).
-	TenantQueueDepth int
-	// TenantRate is each tenant's sustained admission rate in jobs per
-	// second, enforced by a token bucket of TenantBurst capacity
-	// (default 0: no rate limit).
-	TenantRate float64
-	// TenantBurst is the token-bucket burst per tenant (default 1 when
-	// TenantRate is set).
-	TenantBurst int
 	// BodyReadTimeout bounds how long a submission may take to deliver
 	// its body, so slow-loris clients are cut with 408 instead of
 	// holding connections open indefinitely (default 30s; <0 disables).
@@ -158,9 +145,6 @@ func (c *Config) setDefaults() error {
 	if c.StorageProbeEvery <= 0 {
 		c.StorageProbeEvery = 2 * time.Second
 	}
-	if c.TenantBurst <= 0 {
-		c.TenantBurst = 1
-	}
 	if c.BodyReadTimeout == 0 {
 		c.BodyReadTimeout = 30 * time.Second
 	}
@@ -179,7 +163,6 @@ type Server struct {
 	store   *Store
 	queue   *queue
 	breaker *breaker
-	tenants *tenants
 	log     *slog.Logger
 
 	// tel and tracer are the observability layer: per-job event feeds
@@ -224,8 +207,7 @@ type Server struct {
 	gDepth, gInflight, gWorkers     *obs.Gauge
 	gBreakerOpen, gDraining         *obs.Gauge
 	gStorageDegraded                *obs.Gauge
-	gvBreaker, gvTenantQueued       *obs.GaugeVec
-	cvTenantSubmitted, cvTenantShed *obs.CounterVec
+	gvBreaker                       *obs.GaugeVec
 	hWaitMS, hRunMS                 *obs.Histogram
 }
 
@@ -255,7 +237,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.initMetrics()
-	s.tenants = newTenants(cfg.TenantQueueDepth, cfg.TenantRate, cfg.TenantBurst, s.gvTenantQueued)
 	if store.Truncated > 0 {
 		s.log.Warn("jobstore: dropped damaged tail records", "count", store.Truncated)
 	}
@@ -276,19 +257,14 @@ func New(cfg Config) (*Server, error) {
 				return nil, err
 			}
 		}
-		tenant := rec.Tenant
-		if tenant == "" {
-			tenant = DefaultTenant
-		}
 		var deadline time.Time
 		if rec.DeadlineUS > 0 {
 			deadline = time.UnixMicro(rec.DeadlineUS)
 		}
-		s.tenants.force(tenant)
 		s.queue.force(&job{
 			id: rec.ID, spec: rec.Spec, breakerKey: breakerKey(rec.Spec),
 			enqueued: time.Now(), tctx: obs.SpanContext{Trace: rec.TraceID},
-			tenant: tenant, deadline: deadline,
+			deadline: deadline,
 		})
 		s.tel.publish(rec.ID, JobEvent{Type: EvQueued, Attempt: rec.Attempts})
 		s.log.Info("recovered job", "job", rec.ID, "kind", rec.Spec.Kind, "trace", rec.TraceID)
@@ -361,9 +337,6 @@ func (s *Server) initMetrics() {
 	s.gWorkers = s.reg.Gauge("srv_workers_total", "size of the worker pool (utilization = srv_inflight_jobs / this)")
 	s.gBreakerOpen = s.reg.Gauge("srv_breaker_open", "circuit breakers currently open")
 	s.gvBreaker = s.reg.GaugeVec("srv_breaker_state", "per-workload breaker state (0 closed, 1 half-open, 2 open)", "key")
-	s.gvTenantQueued = s.reg.GaugeVec("srv_tenant_queued", "jobs currently queued per tenant", "tenant")
-	s.cvTenantSubmitted = s.reg.CounterVec("srv_tenant_submitted_total", "jobs accepted per tenant", "tenant")
-	s.cvTenantShed = s.reg.CounterVec("srv_tenant_shed_total", "submissions shed by per-tenant quota or rate limit (429)", "tenant")
 	s.gDraining = s.reg.Gauge("srv_draining", "1 while the daemon is draining")
 	s.gStorageDegraded = s.reg.Gauge("srv_storage_degraded", "1 while durable appends are failing and new work is shed")
 	s.hWaitMS = s.reg.Histogram("srv_queue_wait_ms", "queue wait per job, milliseconds", obs.ExpBuckets(2, 2, 14))
@@ -395,17 +368,11 @@ const (
 	ParentSpanHeader = "X-Rvp-Parent-Span"
 )
 
-// TenantHeader names the caller's tenant for per-tenant quotas and
-// rate limits; anonymous callers are bucketed under DefaultTenant.
 // DeadlineHeader carries the caller's context deadline as unix
 // microseconds: the server refuses work it cannot start in time and
 // cancels runs whose caller has already given up, so orphaned work
 // never occupies a worker.
-const (
-	TenantHeader   = "X-Rvp-Tenant"
-	DeadlineHeader = "X-Rvp-Deadline"
-	DefaultTenant  = "default"
-)
+const DeadlineHeader = "X-Rvp-Deadline"
 
 // parseDeadline reads a DeadlineHeader value (unix microseconds; empty
 // means no deadline).
@@ -529,11 +496,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		reject(w, http.StatusBadRequest, err.Error(), 0)
 		return
 	}
-	tenant, err := tenantName(r.Header.Get(TenantHeader))
-	if err != nil {
-		reject(w, http.StatusBadRequest, err.Error(), 0)
-		return
-	}
 	deadline, err := parseDeadline(r.Header.Get(DeadlineHeader))
 	if err != nil {
 		reject(w, http.StatusBadRequest, err.Error(), 0)
@@ -587,15 +549,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("circuit breaker open for %q", bkey), retryAfter)
 		return
 	}
-	// Per-tenant admission runs after the shared-fate checks: a quota or
-	// rate rejection is this tenant's own 429, with a Retry-After shaped
-	// by its own bucket, while the shared queue stays available to
-	// everyone else.
-	if terr := s.tenants.admit(tenant, s.queue.retryAfter()); terr != nil {
-		s.cvTenantShed.With(tenant).Inc()
-		reject(w, http.StatusTooManyRequests, terr.Error(), terr.retryAfter)
-		return
-	}
 
 	id := newJobID(key)
 	// The admission span is retroactive: it covers decode + dedup +
@@ -607,14 +560,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		tctx = s.tracer.Record(tctx, "admission", admitStart, time.Since(admitStart),
 			map[string]string{"job": id, "kind": spec.Kind})
 	}
-	rec := JobStatus{ID: id, Key: key, State: StateQueued, Spec: spec, TraceID: tctx.Trace, Tenant: tenant}
+	rec := JobStatus{ID: id, Key: key, State: StateQueued, Spec: spec, TraceID: tctx.Trace}
 	if !deadline.IsZero() {
 		rec.DeadlineUS = deadline.UnixMicro()
 	}
 	j := &job{id: id, spec: spec, breakerKey: bkey, enqueued: time.Now(), tctx: tctx,
-		tenant: tenant, deadline: deadline}
+		deadline: deadline}
 	if err := s.queue.admit(j); err != nil {
-		s.tenants.release(tenant) // the quota slot charged above never queued
 		var adm *admissionError
 		if errors.As(err, &adm) {
 			s.mShedQueue.Inc()
@@ -640,10 +592,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mSubmitted.Inc()
-	s.cvTenantSubmitted.With(tenant).Inc()
 	s.gDepth.Set(int64(s.queue.depthNow()))
 	s.tel.publish(id, JobEvent{Type: EvQueued})
-	s.log.Info("job accepted", "job", id, "kind", spec.Kind, "tenant", tenant, "trace", tctx.Trace)
+	s.log.Info("job accepted", "job", id, "kind", spec.Kind, "trace", tctx.Trace)
 	writeJSON(w, http.StatusAccepted, rec)
 }
 
@@ -741,7 +692,6 @@ func (s *Server) worker() {
 func (s *Server) runJob(j *job) {
 	wait := time.Since(j.enqueued)
 	s.queue.noteDequeue(j, wait)
-	s.tenants.release(j.tenant)
 	s.gDepth.Set(int64(s.queue.depthNow()))
 	if j.dropped.Load() {
 		// Admission rolled this job back (its acceptance never became
@@ -835,9 +785,9 @@ func (s *Server) runJob(j *job) {
 
 	switch {
 	case err == nil:
-		// Seal before persisting: every consumer — the fleet coordinator
-		// above all — can verify the result envelope against corruption
-		// in transit.
+		// Seal before persisting: the client verifies the result envelope
+		// on every Status/Wait, so corruption at rest or in transit is
+		// caught before a caller renders the result.
 		res.Seal()
 		rec.State = StateSucceeded
 		rec.Result = res
@@ -932,7 +882,7 @@ func (s *Server) abandonExpired(j *job) {
 	os.RemoveAll(s.jobDir(j.id))
 	s.tel.publish(j.id, JobEvent{Type: EvFailed, Attempt: rec.Attempts, Error: rec.Error.Message})
 	s.log.Warn("job abandoned: caller deadline expired while queued",
-		"job", j.id, "tenant", j.tenant, "trace", rec.TraceID)
+		"job", j.id, "trace", rec.TraceID)
 }
 
 // handleTrace returns the daemon-side spans of one job's trace as a

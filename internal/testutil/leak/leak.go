@@ -1,8 +1,8 @@
 // Package leak is a test helper that fails a test when it leaks
 // goroutines. It exists because every long-lived component in this repo
-// (the daemon's worker pool, the fleet coordinator's dispatch loops and
-// janitor) promises that Close/Stop tears down everything it started —
-// a promise only a counter can keep honest.
+// (the daemon's worker pool, its storage probe and event feeds) promises
+// that Close/Stop tears down everything it started — a promise only a
+// counter can keep honest.
 package leak
 
 import (

@@ -3,10 +3,9 @@
 // state, a discarded Sync(), SyncDir() or Close() error is a
 // correctness bug, not a style nit — a failed fsync means the bytes may
 // not be on disk, and ignoring it converts "durable" into "probably
-// durable". In the HTTP client and fleet packages the same bare form on
-// a response body (resp.Body.Close()) silently leaks the pooled
-// connection when it fails, which under network faults is exactly when
-// it fails.
+// durable". In the HTTP client package the same bare form on a response
+// body (resp.Body.Close()) silently leaks the pooled connection when it
+// fails, which under network faults is exactly when it fails.
 //
 // The check flags a bare call statement like
 //

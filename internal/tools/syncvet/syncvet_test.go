@@ -18,9 +18,7 @@ func TestDurabilityLayerDiscardsNoSyncErrors(t *testing.T) {
 		"internal/checkpoint",
 		"internal/server",
 		"internal/exp",
-		"internal/fleet",
 		"internal/client",
-		"internal/netfault",
 		"cmd/rvpadmin",
 	}
 	for i, d := range dirs {

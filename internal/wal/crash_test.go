@@ -20,7 +20,6 @@ import (
 
 	"rvpsim/internal/checkpoint"
 	"rvpsim/internal/exp"
-	"rvpsim/internal/fleet"
 	"rvpsim/internal/pipeline"
 	"rvpsim/internal/server"
 	"rvpsim/internal/vfs"
@@ -100,39 +99,6 @@ func TestCrashAtEveryOp(t *testing.T) {
 				for _, key := range acked {
 					if _, ok := j.Lookup(key); !ok {
 						t.Fatalf("acknowledged cell %s lost", key)
-					}
-				}
-			},
-		},
-		{
-			name: "ledger",
-			run: func(fsys vfs.FS, ack func(string)) error {
-				l, _, err := fleet.OpenLedgerFS("/state/cells.jsonl", fsys, nil)
-				if err != nil {
-					return err
-				}
-				spec := &fleet.SweepSpec{Workloads: []string{"go"}, Predictors: []string{"rvp"}, Insts: 5000}
-				for i := 0; i < 3; i++ {
-					id := fmt.Sprintf("sweep-%d", i)
-					if err := l.Append(fleet.LedgerRecord{Kind: "sweep", Sweep: id, Spec: spec}); err != nil {
-						return err
-					}
-					ack(id)
-				}
-				return l.Close()
-			},
-			verify: func(t *testing.T, fsys vfs.FS, acked []string) {
-				l, rp, err := fleet.OpenLedgerFS("/state/cells.jsonl", fsys, nil)
-				if err != nil {
-					t.Fatalf("post-crash open: %v", err)
-				}
-				defer l.Close()
-				if len(rp.Sweeps) > 3 {
-					t.Fatalf("recovered %d sweeps, only 3 ever written", len(rp.Sweeps))
-				}
-				for _, id := range acked {
-					if _, ok := rp.Sweeps[id]; !ok {
-						t.Fatalf("acknowledged sweep %s lost", id)
 					}
 				}
 			},

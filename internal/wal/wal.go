@@ -1,8 +1,7 @@
 // Package wal is the one hardened write-ahead-log engine behind every
-// durable log in the system: the server's job store, the experiment
-// runner's sweep journal, and the fleet coordinator's cell ledger are
-// typed record layers over this engine, where three hand-rolled copies
-// of the same CRC/fsync/torn-tail logic used to live.
+// durable log in the system: the server's job store and the experiment
+// runner's sweep journal are typed record layers over this engine, where
+// hand-rolled copies of the same CRC/fsync/torn-tail logic used to live.
 //
 // # On-disk format
 //
@@ -119,7 +118,7 @@ func (e *CorruptError) Unwrap() error { return simerr.ErrCorrupt }
 type Options struct {
 	// FS is the filesystem seam (vfs.OS when nil).
 	FS vfs.FS
-	// Name labels errors ("jobstore", "journal", "fleet") — it becomes
+	// Name labels errors ("jobstore", "journal") — it becomes
 	// the simerr stage, preserving each migrated store's historical
 	// error identity.
 	Name string

@@ -1,8 +1,8 @@
 // Package waltest is the shared torn/corrupt-tail conformance matrix
-// for every store built on internal/wal. The job store, sweep journal
-// and cell ledger all claim the same recovery contract; this package
-// makes that claim a single table-driven test each of them runs
-// verbatim, so the three stores cannot quietly diverge again:
+// for every store built on internal/wal. The job store and the sweep
+// journal claim the same recovery contract; this package makes that
+// claim a single table-driven test each of them runs verbatim, so the
+// stores cannot quietly diverge again:
 //
 //   - truncation at EVERY byte position inside the final envelope line
 //     must recover all earlier records and count exactly the torn one;
