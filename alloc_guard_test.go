@@ -7,10 +7,11 @@ package rvpsim_test
 // instructions. The guard therefore measures the delta between a long
 // and a short run: (allocs(300k) - allocs(100k)) / 200k extra
 // instructions must be ~0. Any per-commit allocation sneaking back into
-// the pipeline loop (pendingPred churn, trace records, map growth)
+// the pipeline loop (pendingPred churn, commit events, map growth)
 // shows up here as thousands of allocations and fails loudly.
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -25,7 +26,7 @@ const (
 	allocGuardLong  = 300_000
 )
 
-func allocsForRun(t *testing.T, insts uint64) float64 {
+func allocsForRun(t *testing.T, insts uint64, observer func() *rvpsim.Observer) float64 {
 	t.Helper()
 	prog, err := rvpsim.Workload("li")
 	if err != nil {
@@ -33,28 +34,50 @@ func allocsForRun(t *testing.T, insts uint64) float64 {
 	}
 	cfg := rvpsim.BaselineConfig()
 	return testing.AllocsPerRun(3, func() {
-		if _, err := rvpsim.Run(prog, cfg, rvpsim.DynamicRVP(), insts); err != nil {
+		opts := rvpsim.RunOptions{MaxInsts: insts, Observer: observer()}
+		if _, err := rvpsim.Run(context.Background(), prog, cfg, rvpsim.DynamicRVP(), opts); err != nil {
 			t.Fatal(err)
 		}
 	})
 }
 
+// TestZeroAllocsPerCommit covers three run shapes: bare; a metrics
+// registry only, which every experiments pass attaches; and a registry
+// plus a no-op function sink, so the per-commit event path is live.
 func TestZeroAllocsPerCommit(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates; guard is meaningless under -race")
 	}
 	if testing.Short() {
-		t.Skip("simulates 1.2M instructions; skipped with -short")
+		t.Skip("simulates 3.6M instructions; skipped with -short")
 	}
-	short := allocsForRun(t, allocGuardShort)
-	long := allocsForRun(t, allocGuardLong)
-	perCommit := (long - short) / float64(allocGuardLong-allocGuardShort)
-	t.Logf("allocs: short(%d)=%.0f long(%d)=%.0f -> %.6f allocs/commit",
-		allocGuardShort, short, allocGuardLong, long, perCommit)
-	// Tolerance admits measurement noise (GC-triggered runtime allocs),
-	// not real per-commit allocation: one alloc per commit would read 1.0.
-	if perCommit > 0.001 {
-		t.Fatalf("steady-state allocation regression: %.6f allocs/commit (want ~0)", perCommit)
+	reg := rvpsim.NewObserver().Registry()
+	shapes := []struct {
+		name     string
+		observer func() *rvpsim.Observer
+	}{
+		{"bare", func() *rvpsim.Observer { return nil }},
+		{"registry", func() *rvpsim.Observer { return rvpsim.NewObserverWith(reg) }},
+		{"registry+sink", func() *rvpsim.Observer {
+			o := rvpsim.NewObserverWith(reg)
+			o.AddSink(rvpsim.SinkFunc(func(*rvpsim.Event) {}))
+			return o
+		}},
+	}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			short := allocsForRun(t, allocGuardShort, sh.observer)
+			long := allocsForRun(t, allocGuardLong, sh.observer)
+			perCommit := (long - short) / float64(allocGuardLong-allocGuardShort)
+			t.Logf("allocs: short(%d)=%.0f long(%d)=%.0f -> %.6f allocs/commit",
+				allocGuardShort, short, allocGuardLong, long, perCommit)
+			// Tolerance admits measurement noise (GC-triggered runtime
+			// allocs), not real per-commit allocation: one alloc per
+			// commit would read 1.0.
+			if perCommit > 0.001 {
+				t.Fatalf("steady-state allocation regression: %.6f allocs/commit (want ~0)", perCommit)
+			}
+		})
 	}
 }
 

@@ -19,6 +19,7 @@ package rvpsim_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -172,11 +173,12 @@ func BenchmarkSimulator(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := rvpsim.BaselineConfig()
+	ctx, cfg := context.Background(), rvpsim.BaselineConfig()
+	opts := rvpsim.RunOptions{MaxInsts: benchInsts}
 	b.ResetTimer()
 	var insts uint64
 	for i := 0; i < b.N; i++ {
-		st, err := rvpsim.Run(prog, cfg, rvpsim.DynamicRVP(), benchInsts)
+		st, err := rvpsim.Run(ctx, prog, cfg, rvpsim.DynamicRVP(), opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -215,7 +217,7 @@ func BenchmarkSimulatorParallel(b *testing.B) {
 				go func() {
 					defer wg.Done()
 					sim := pipeline.MustNew(cfg)
-					sim.SetObserver(obs.NewObserverWith(reg))
+					sim.SetHooks(pipeline.Hooks{Observer: obs.NewObserverWith(reg)})
 					pred := core.MustDynamicRVP(core.DefaultCounterConfig())
 					for n := 0; n < b.N; n++ {
 						st, err := sim.Run(prog, pred, benchInsts)
@@ -308,12 +310,12 @@ func BenchmarkObserverOverhead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := rvpsim.BaselineConfig()
+	ctx, cfg := context.Background(), rvpsim.BaselineConfig()
 
 	b.Run("baseline", func(b *testing.B) {
 		var insts uint64
 		for i := 0; i < b.N; i++ {
-			st, err := rvpsim.Run(prog, cfg, rvpsim.DynamicRVP(), benchInsts)
+			st, err := rvpsim.Run(ctx, prog, cfg, rvpsim.DynamicRVP(), rvpsim.RunOptions{MaxInsts: benchInsts})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -325,8 +327,8 @@ func BenchmarkObserverOverhead(b *testing.B) {
 		reg := rvpsim.NewObserver().Registry()
 		var insts uint64
 		for i := 0; i < b.N; i++ {
-			o := rvpsim.NewObserverWith(reg)
-			st, err := rvpsim.RunObserved(prog, cfg, rvpsim.DynamicRVP(), benchInsts, o)
+			opts := rvpsim.RunOptions{MaxInsts: benchInsts, Observer: rvpsim.NewObserverWith(reg)}
+			st, err := rvpsim.Run(ctx, prog, cfg, rvpsim.DynamicRVP(), opts)
 			if err != nil {
 				b.Fatal(err)
 			}

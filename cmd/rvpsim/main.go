@@ -115,68 +115,62 @@ func main() {
 		lat                       int64
 	}
 	perInst := map[int]*agg{}
-	record := func(index int, dispatch, done int64, predicted, correct bool) {
-		a := perInst[index]
+	record := func(e *rvpsim.Event) {
+		a := perInst[e.Index]
 		if a == nil {
 			a = &agg{}
-			perInst[index] = a
+			perInst[e.Index] = a
 		}
 		a.execs++
-		a.lat += done - dispatch
-		if predicted {
+		a.lat += e.Done - e.Dispatch
+		if e.Predicted {
 			a.predicted++
-			if correct {
+			if e.Correct {
 				a.correct++
 			}
 		}
 	}
 
-	needObs := *traceOut != "" || *eventsOut != "" || *metricsOut != ""
-	var st rvpsim.Stats
-	var observer *rvpsim.Observer
-	switch {
-	case needObs:
+	// One observer carries every output: a registry only when metrics
+	// are written, sinks for the trace files and -top. With none of them
+	// it is empty and the run is bare.
+	observer := &rvpsim.Observer{}
+	if *metricsOut != "" {
 		observer = rvpsim.NewObserver()
-		var files []*os.File
-		create := func(path string) *os.File {
-			f, cerr := os.Create(path)
-			if cerr != nil {
-				fatal(cerr)
-			}
-			files = append(files, f)
-			return f
+	}
+	var files []*os.File
+	create := func(path string) *os.File {
+		f, cerr := os.Create(path)
+		if cerr != nil {
+			fatal(cerr)
 		}
-		if *traceOut != "" {
-			ct := rvpsim.NewChromeTrace(create(*traceOut))
-			// One lane per window slot keeps concurrently in-flight
-			// instructions on separate trace rows.
-			ct.Lanes = cfg.Window
-			observer.AddSink(ct)
-		}
-		if *eventsOut != "" {
-			observer.AddSink(rvpsim.NewJSONLTrace(create(*eventsOut)))
-		}
-		if *top > 0 {
-			observer.AddSink(topSink(record))
-		}
-		st, err = rvpsim.RunObservedContext(ctx, prog, cfg, pred, *n, observer)
-		if cerr := observer.Close(); cerr != nil && err == nil {
+		files = append(files, f)
+		return f
+	}
+	if *traceOut != "" {
+		ct := rvpsim.NewChromeTrace(create(*traceOut))
+		// One lane per window slot keeps concurrently in-flight
+		// instructions on separate trace rows.
+		ct.Lanes = cfg.Window
+		observer.AddSink(ct)
+	}
+	if *eventsOut != "" {
+		observer.AddSink(rvpsim.NewJSONLTrace(create(*eventsOut)))
+	}
+	if *top > 0 {
+		observer.AddSink(rvpsim.SinkFunc(record))
+	}
+	st, err := rvpsim.Run(ctx, prog, cfg, pred, rvpsim.RunOptions{MaxInsts: *n, Observer: observer})
+	if cerr := observer.Close(); cerr != nil && err == nil {
+		err = cerr
+	}
+	for _, f := range files {
+		if cerr := f.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
-		for _, f := range files {
-			if cerr := f.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}
-		if err == nil && *metricsOut != "" {
-			err = writeMetrics(*metricsOut, observer.Registry())
-		}
-	case *top > 0:
-		st, err = rvpsim.RunTracedContext(ctx, prog, cfg, pred, *n, func(tr rvpsim.TraceRecord) {
-			record(tr.Index, tr.Dispatch, tr.DoneAt, tr.Predicted, tr.Correct)
-		})
-	default:
-		st, err = rvpsim.RunContext(ctx, prog, cfg, pred, *n)
+	}
+	if err == nil && *metricsOut != "" {
+		err = writeMetrics(*metricsOut, observer.Registry())
 	}
 	if err != nil {
 		fatal(err)
@@ -273,16 +267,6 @@ func makePredictor(name string, prog *rvpsim.Program, budget uint64) (rvpsim.Pre
 	}
 	return nil, fmt.Errorf("unknown predictor %q", name)
 }
-
-// topSink adapts the -top aggregation callback into an event sink.
-type topSink func(index int, dispatch, done int64, predicted, correct bool)
-
-func (s topSink) Emit(e *rvpsim.Event) error {
-	s(e.Index, e.Dispatch, e.Done, e.Predicted, e.Correct)
-	return nil
-}
-
-func (topSink) Close() error { return nil }
 
 // writeMetrics dumps the registry as Prometheus text exposition.
 func writeMetrics(path string, reg *rvpsim.Registry) error {

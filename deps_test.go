@@ -94,3 +94,34 @@ func TestReproductionPathIndependentOfServiceTier(t *testing.T) {
 			len(found), len(serviceTier), found)
 	}
 }
+
+// TestFacadeIsTheOnePublicRunPath keeps the commands and examples on the
+// public API: cmd/rvpsim, cmd/rvprofile and every examples/* package
+// import no in-module package except the rvpsim facade itself, so the
+// facade's Run stays the one way they simulate.
+func TestFacadeIsTheOnePublicRunPath(t *testing.T) {
+	roots := []string{module + "/cmd/rvpsim", module + "/cmd/rvprofile"}
+	dirs, err := filepath.Glob("examples/*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range dirs {
+		roots = append(roots, module+"/"+filepath.ToSlash(d))
+	}
+	if len(roots) < 3 {
+		t.Fatalf("found no examples packages (roots %v)", roots)
+	}
+	for _, root := range roots {
+		via := moduleDeps(t, root)
+		if _, ok := via[module]; !ok {
+			t.Errorf("%s does not import the facade; the walk is not seeing it", root)
+		}
+		// The walk is breadth-first from root, so every direct import
+		// is recorded as reached via root itself.
+		for path, from := range via {
+			if from == root && path != module {
+				t.Errorf("%s imports %s directly; use the rvpsim facade", root, path)
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package rvpsim_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -38,12 +39,13 @@ table:  .quad 7, 7, 7, 7, 7, 7, 7, 7
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := rvpsim.BaselineConfig()
-	base, err := rvpsim.Run(prog, cfg, rvpsim.NoPrediction(), 50_000)
+	ctx, cfg := context.Background(), rvpsim.BaselineConfig()
+	opts := rvpsim.RunOptions{MaxInsts: 50_000}
+	base, err := rvpsim.Run(ctx, prog, cfg, rvpsim.NoPrediction(), opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rvp, err := rvpsim.Run(prog, cfg, rvpsim.DynamicRVP(), 50_000)
+	rvp, err := rvpsim.Run(ctx, prog, cfg, rvpsim.DynamicRVP(), opts)
 	if err != nil {
 		log.Fatal(err)
 	}

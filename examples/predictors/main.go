@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,6 +15,7 @@ import (
 
 func main() {
 	const budget = 1_000_000
+	ctx, opts := context.Background(), rvpsim.RunOptions{MaxInsts: budget}
 	workloadNames := []string{"m88ksim", "hydro2d", "turb3d", "li"}
 
 	preds := []struct {
@@ -39,7 +41,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		st, err := rvpsim.Run(prog, rvpsim.BaselineConfig(), rvpsim.NoPrediction(), budget)
+		st, err := rvpsim.Run(ctx, prog, rvpsim.BaselineConfig(), rvpsim.NoPrediction(), opts)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -54,7 +56,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			st, err := rvpsim.Run(prog, rvpsim.BaselineConfig(), p.mk(), budget)
+			st, err := rvpsim.Run(ctx, prog, rvpsim.BaselineConfig(), p.mk(), opts)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -55,12 +56,13 @@ func main() {
 	}
 	cfg := rvpsim.BaselineConfig()
 	const budget = 500_000
+	ctx, opts := context.Background(), rvpsim.RunOptions{MaxInsts: budget}
 
-	base, err := rvpsim.Run(prog, cfg, rvpsim.NoPrediction(), budget)
+	base, err := rvpsim.Run(ctx, prog, cfg, rvpsim.NoPrediction(), opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rvp, err := rvpsim.Run(prog, cfg, rvpsim.DynamicRVP(), budget)
+	rvp, err := rvpsim.Run(ctx, prog, cfg, rvpsim.DynamicRVP(), opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,6 +16,7 @@ import (
 
 func main() {
 	const budget = 1_000_000
+	ctx, opts := context.Background(), rvpsim.RunOptions{MaxInsts: budget}
 	workloads := []string{"m88ksim", "su2cor", "turb3d"}
 	schemes := []struct {
 		name string
@@ -32,7 +34,7 @@ func main() {
 			log.Fatal(err)
 		}
 		cfg := rvpsim.BaselineConfig()
-		base, err := rvpsim.Run(prog, cfg, rvpsim.NoPrediction(), budget)
+		base, err := rvpsim.Run(ctx, prog, cfg, rvpsim.NoPrediction(), opts)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -40,7 +42,7 @@ func main() {
 		for _, s := range schemes {
 			cfg := rvpsim.BaselineConfig()
 			cfg.Recovery = s.rec
-			st, err := rvpsim.Run(prog, cfg, rvpsim.DynamicRVP(), budget)
+			st, err := rvpsim.Run(ctx, prog, cfg, rvpsim.DynamicRVP(), opts)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,6 +15,7 @@ import (
 
 func main() {
 	const budget = 1_000_000
+	ctx, opts := context.Background(), rvpsim.RunOptions{MaxInsts: budget}
 	for _, wl := range []string{"hydro2d", "li", "su2cor"} {
 		prog, err := rvpsim.Workload(wl)
 		if err != nil {
@@ -35,15 +37,15 @@ func main() {
 
 		// Measure: baseline, RVP on the original, RVP on the rewritten.
 		cfg := rvpsim.BaselineConfig()
-		base, err := rvpsim.Run(prog, cfg, rvpsim.NoPrediction(), budget)
+		base, err := rvpsim.Run(ctx, prog, cfg, rvpsim.NoPrediction(), opts)
 		if err != nil {
 			log.Fatal(err)
 		}
-		before, err := rvpsim.Run(prog, cfg, rvpsim.DynamicRVP(), budget)
+		before, err := rvpsim.Run(ctx, prog, cfg, rvpsim.DynamicRVP(), opts)
 		if err != nil {
 			log.Fatal(err)
 		}
-		after, err := rvpsim.Run(rewritten, cfg, rvpsim.DynamicRVP(), budget)
+		after, err := rvpsim.Run(ctx, rewritten, cfg, rvpsim.DynamicRVP(), opts)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -15,7 +16,7 @@ import (
 const budget = 500_000
 
 func run(prog *rvpsim.Program, cfg rvpsim.Config, pred rvpsim.Predictor) rvpsim.Stats {
-	st, err := rvpsim.Run(prog, cfg, pred, budget)
+	st, err := rvpsim.Run(context.Background(), prog, cfg, pred, rvpsim.RunOptions{MaxInsts: budget})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,31 +9,28 @@ import (
 
 	"rvpsim/internal/checkpoint"
 	"rvpsim/internal/core"
-	"rvpsim/internal/isa"
+	"rvpsim/internal/obs"
 	"rvpsim/internal/pipeline"
 	"rvpsim/internal/simerr"
 	"rvpsim/internal/workloads"
 )
 
-// commitRec is the architectural slice of one committed instruction.
-type commitRec struct {
-	PC    uint64
-	Wrote bool
-	Rd    isa.Reg
-	Value uint64
-}
-
-func recordStream(out *[]commitRec) pipeline.Tracer {
-	return func(tr pipeline.TraceRecord) {
-		*out = append(*out, commitRec{PC: tr.PC, Wrote: tr.WroteRd, Rd: tr.Rd, Value: tr.Value})
-	}
+// recordStream copies every committed instruction's full event —
+// commit index, the five cycle stamps, the prediction outcome and the
+// architectural PC/rd/value — so a resumed run is compared against the
+// uninterrupted one in timing as well as architecture.
+func recordStream(out *[]obs.Event) pipeline.Hooks {
+	o := &obs.Observer{}
+	o.AddSink(obs.SinkFunc(func(e *obs.Event) { *out = append(*out, *e) }))
+	return pipeline.Hooks{Observer: o}
 }
 
 // TestCheckpointDeterminism is the tentpole guarantee: snapshot a run at
 // a (pseudo-random) commit index, serialize the snapshot through the
 // on-disk container, restore it into a fresh simulator and predictor,
-// and the resumed run must commit the identical instruction/value
-// stream and end with identical final Stats as the uninterrupted run.
+// and the resumed run must emit the identical commit events — commit
+// index, cycle stamps, prediction outcome, PC/rd/value — and end with
+// identical final Stats as the uninterrupted run.
 func TestCheckpointDeterminism(t *testing.T) {
 	const budget = 100_000
 	rng := rand.New(rand.NewSource(7))
@@ -51,9 +48,9 @@ func TestCheckpointDeterminism(t *testing.T) {
 				cfg.Recovery = rec
 
 				// Uninterrupted reference run.
-				var refStream []commitRec
+				var refStream []obs.Event
 				refSim := pipeline.MustNew(cfg)
-				refSim.SetTracer(recordStream(&refStream))
+				refSim.SetHooks(recordStream(&refStream))
 				refStats, err := refSim.Run(prog, core.MustDynamicRVP(core.DefaultCounterConfig()), budget)
 				if err != nil {
 					t.Fatal(err)
@@ -81,12 +78,9 @@ func TestCheckpointDeterminism(t *testing.T) {
 				}
 
 				// Resume in a fresh simulator with a fresh predictor.
-				var tail []commitRec
-				simB, err := pipeline.RestoreSim(loaded)
-				if err != nil {
-					t.Fatal(err)
-				}
-				simB.SetTracer(recordStream(&tail))
+				var tail []obs.Event
+				simB := pipeline.MustNew(cfg)
+				simB.SetHooks(recordStream(&tail))
 				gotStats, err := simB.ResumeContext(t.Context(), loaded, prog, core.MustDynamicRVP(core.DefaultCounterConfig()), budget)
 				if err != nil {
 					t.Fatal(err)
@@ -120,9 +114,9 @@ func TestCheckpointRoundTripLVP(t *testing.T) {
 	}
 	cfg := pipeline.BaselineConfig()
 
-	var refStream []commitRec
+	var refStream []obs.Event
 	refSim := pipeline.MustNew(cfg)
-	refSim.SetTracer(recordStream(&refStream))
+	refSim.SetHooks(recordStream(&refStream))
 	refStats, err := refSim.Run(prog, core.MustLVP(core.DefaultLVPConfig(), "lvp"), budget)
 	if err != nil {
 		t.Fatal(err)
@@ -146,9 +140,9 @@ func TestCheckpointRoundTripLVP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var tail []commitRec
+	var tail []obs.Event
 	simB := pipeline.MustNew(cfg)
-	simB.SetTracer(recordStream(&tail))
+	simB.SetHooks(recordStream(&tail))
 	gotStats, err := simB.ResumeContext(t.Context(), loaded, prog, core.MustLVP(core.DefaultLVPConfig(), "lvp"), budget)
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +157,7 @@ func TestCheckpointRoundTripLVP(t *testing.T) {
 	}
 }
 
-// TestPeriodicCheckpointDoesNotPerturb: arming SetCheckpoint must not
+// TestPeriodicCheckpointDoesNotPerturb: arming checkpoints must not
 // change the committed stream or final Stats.
 func TestPeriodicCheckpointDoesNotPerturb(t *testing.T) {
 	const budget = 40_000
@@ -182,10 +176,10 @@ func TestPeriodicCheckpointDoesNotPerturb(t *testing.T) {
 	ckpt := pipeline.MustNew(cfg)
 	saves := 0
 	path := filepath.Join(t.TempDir(), "periodic.ckpt")
-	ckpt.SetCheckpoint(5_000, func(snap *pipeline.Snapshot) error {
+	ckpt.SetHooks(pipeline.Hooks{CheckpointEvery: 5_000, OnCheckpoint: func(snap *pipeline.Snapshot) error {
 		saves++
 		return checkpoint.Save(path, snap)
-	})
+	}})
 	gotStats, err := ckpt.Run(prog, core.MustDynamicRVP(core.DefaultCounterConfig()), budget)
 	if err != nil {
 		t.Fatal(err)

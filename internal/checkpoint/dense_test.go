@@ -6,6 +6,7 @@ import (
 
 	"rvpsim/internal/checkpoint"
 	"rvpsim/internal/core"
+	"rvpsim/internal/obs"
 	"rvpsim/internal/pipeline"
 	"rvpsim/internal/workloads"
 )
@@ -17,7 +18,8 @@ import (
 // hot-loop state — issue-queue ring cursors, the pending-prediction
 // pool's reference counts — at arbitrary, odd split points. Any
 // mismatch between a resumed run and the uninterrupted reference run
-// fails on the first diverging committed instruction.
+// fails on the first committed instruction whose full event (timing
+// included) differs.
 func TestCheckpointDeterminismDensePredictors(t *testing.T) {
 	const budget = 60_000
 	// Odd primes so the snapshot lands mid-ring for every queue size.
@@ -42,9 +44,9 @@ func TestCheckpointDeterminismDensePredictors(t *testing.T) {
 	for name, mk := range preds {
 		for _, split := range splits {
 			t.Run(name, func(t *testing.T) {
-				var refStream []commitRec
+				var refStream []obs.Event
 				refSim := pipeline.MustNew(cfg)
-				refSim.SetTracer(recordStream(&refStream))
+				refSim.SetHooks(recordStream(&refStream))
 				refStats, err := refSim.Run(prog, mk(), budget)
 				if err != nil {
 					t.Fatal(err)
@@ -67,12 +69,9 @@ func TestCheckpointDeterminismDensePredictors(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				var tail []commitRec
-				simB, err := pipeline.RestoreSim(loaded)
-				if err != nil {
-					t.Fatal(err)
-				}
-				simB.SetTracer(recordStream(&tail))
+				var tail []obs.Event
+				simB := pipeline.MustNew(cfg)
+				simB.SetHooks(recordStream(&tail))
 				gotStats, err := simB.ResumeContext(t.Context(), loaded, prog, mk(), budget)
 				if err != nil {
 					t.Fatal(err)

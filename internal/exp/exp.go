@@ -420,45 +420,6 @@ func (r *Runner) runOn(scope string, p *program.Program, cfg pipeline.Config, pr
 		ctx, cancel = context.WithTimeout(ctx, r.opts.RunTimeout)
 		defer cancel()
 	}
-	// The cell's simulator comes from the per-config pool and goes back
-	// when the cell finishes (any exit path). Every hook is set
-	// unconditionally — a pooled Sim carries whatever the previous cell
-	// armed, so "not configured" must be written as explicitly as
-	// "configured". A failed checkpoint resume reuses the same Sim for
-	// the from-scratch rerun.
-	var sim *pipeline.Sim
-	defer func() { r.putSim(cfg, sim) }()
-	newSim := func() (*pipeline.Sim, error) {
-		if sim == nil {
-			s, err := r.simFor(cfg)
-			if err != nil {
-				return nil, err
-			}
-			sim = s
-		}
-		if r.opts.Registry != nil {
-			sim.SetObserver(obs.NewObserverWith(r.opts.Registry))
-		} else {
-			sim.SetObserver(nil)
-		}
-		if inj != nil {
-			sim.SetFaults(inj)
-		} else {
-			// A plain nil, not the typed-nil *Injector, so the pipeline's
-			// `faults != nil` fast path stays off.
-			sim.SetFaults(nil)
-		}
-		if r.opts.OnProgress != nil && r.opts.ProgressEvery > 0 {
-			sim.SetProgress(r.opts.ProgressEvery, func(committed uint64, cycles int64) {
-				r.opts.OnProgress(label, committed, cycles)
-			})
-		} else {
-			sim.SetProgress(0, nil)
-		}
-		sim.SetCheckpoint(0, nil)
-		return sim, nil
-	}
-
 	// Checkpointing applies only to unperturbed runs: a fault injector's
 	// effects are not captured in a snapshot, so resuming an injected
 	// run would not replay deterministically.
@@ -466,15 +427,12 @@ func (r *Runner) runOn(scope string, p *program.Program, cfg pipeline.Config, pr
 	canCkpt := journal != nil && r.opts.CheckpointEvery > 0 && inj == nil && isCkptable
 	var ckptPath string
 	var pristine core.PredictorState
+	var hooks pipeline.Hooks
 	if canCkpt {
 		ckptPath = ckptFile(r.opts.StateDir, key)
 		pristine = ckptable.SnapshotState()
-	}
-	arm := func(sim *pipeline.Sim) {
-		if !canCkpt {
-			return
-		}
-		sim.SetCheckpoint(r.opts.CheckpointEvery, func(snap *pipeline.Snapshot) error {
+		hooks.CheckpointEvery = r.opts.CheckpointEvery
+		hooks.OnCheckpoint = func(snap *pipeline.Snapshot) error {
 			if err := checkpoint.SaveFS(r.fsys(), ckptPath, snap); err != nil {
 				return err
 			}
@@ -483,7 +441,21 @@ func (r *Runner) runOn(scope string, p *program.Program, cfg pipeline.Config, pr
 				r.opts.OnCheckpoint(label)
 			}
 			return nil
-		})
+		}
+	}
+	if r.opts.Registry != nil {
+		hooks.Observer = obs.NewObserverWith(r.opts.Registry)
+	}
+	if inj != nil {
+		// Assigned only when set: a typed-nil *Injector in the interface
+		// would make the pipeline's `Faults != nil` checks fire.
+		hooks.Faults = inj
+	}
+	if r.opts.OnProgress != nil && r.opts.ProgressEvery > 0 {
+		hooks.ProgressEvery = r.opts.ProgressEvery
+		hooks.OnProgress = func(committed uint64, cycles int64) {
+			r.opts.OnProgress(label, committed, cycles)
+		}
 	}
 
 	var st pipeline.Stats
@@ -492,15 +464,30 @@ func (r *Runner) runOn(scope string, p *program.Program, cfg pipeline.Config, pr
 	sp.SetAttr("workload", p.Name)
 	sp.SetAttr("predictor", pred.Name())
 	defer func() { sp.EndErr(err) }()
+
+	// The cell's simulator comes from the per-config pool when its run
+	// starts (not before the warmup) and goes back when the cell
+	// finishes (any exit path). SetHooks replaces whatever the previous
+	// cell armed. A failed checkpoint resume reuses the same Sim for the
+	// from-scratch rerun.
+	var sim *pipeline.Sim
+	defer func() { r.putSim(cfg, sim) }()
+	takeSim := func() (err error) {
+		if sim == nil {
+			if sim, err = r.simFor(cfg); err == nil {
+				sim.SetHooks(hooks)
+			}
+		}
+		return err
+	}
 	ran := false
 	if canCkpt {
 		snap, lerr := checkpoint.LoadFS(r.fsys(), ckptPath)
 		switch {
 		case lerr == nil:
-			if sim, err = newSim(); err != nil {
+			if err = takeSim(); err != nil {
 				return pipeline.Stats{}, err
 			}
-			arm(sim)
 			st, err = sim.ResumeContext(ctx, snap, p, pred, r.opts.Insts)
 			if err != nil && errors.Is(err, simerr.ErrCorrupt) {
 				// The checkpoint does not belong to this cell as currently
@@ -529,16 +516,13 @@ func (r *Runner) runOn(scope string, p *program.Program, cfg pipeline.Config, pr
 			err = werr
 			return pipeline.Stats{}, err
 		}
-		if sim, err = newSim(); err != nil {
+		if err = takeSim(); err != nil {
 			return pipeline.Stats{}, err
 		}
-		arm(sim)
 		if warm != nil {
 			r.count("exp_warmup_forks", "measured runs started from a forked warm state")
-			st, err = sim.RunWarmedContext(ctx, warm, p, pred, r.opts.Insts)
-		} else {
-			st, err = sim.RunContext(ctx, p, pred, r.opts.Insts)
 		}
+		st, err = sim.RunWarmedContext(ctx, warm, p, pred, r.opts.Insts)
 	}
 	if err != nil {
 		// Checkpoint-then-exit: a cancelled or timed-out run leaves its

@@ -9,6 +9,7 @@ import (
 	"rvpsim/internal/core"
 	"rvpsim/internal/emu"
 	"rvpsim/internal/faultinject"
+	"rvpsim/internal/obs"
 	"rvpsim/internal/pipeline"
 	"rvpsim/internal/program"
 	"rvpsim/internal/progtest"
@@ -65,18 +66,19 @@ func TestFaultInvariants(t *testing.T) {
 				cfg.Recovery = rec
 				cfg.WatchdogCycles = 1_000_000 // termination backstop, never trips
 				sim := pipeline.MustNew(cfg)
-				sim.SetFaults(faultinject.New(fc))
 
 				var got []int
 				var lastCommit int64
 				ordered := true
-				sim.SetTracer(func(tr pipeline.TraceRecord) {
-					got = append(got, tr.Index)
-					if tr.CommitAt < lastCommit {
+				stream := &obs.Observer{}
+				stream.AddSink(obs.SinkFunc(func(e *obs.Event) {
+					got = append(got, e.Index)
+					if e.Commit < lastCommit {
 						ordered = false
 					}
-					lastCommit = tr.CommitAt
-				})
+					lastCommit = e.Commit
+				}))
+				sim.SetHooks(pipeline.Hooks{Observer: stream, Faults: faultinject.New(fc)})
 				st, err := sim.Run(p, core.MustDynamicRVP(core.DefaultCounterConfig()), budget)
 				if err != nil {
 					t.Fatalf("seed %d %v %+v: run failed: %v", seed, rec, fc, err)
@@ -137,7 +139,7 @@ func TestFaultWatchdogTrip(t *testing.T) {
 	cfg := pipeline.BaselineConfig()
 	cfg.WatchdogCycles = 500
 	sim := pipeline.MustNew(cfg)
-	sim.SetFaults(faultinject.New(faultinject.Config{MemEvery: 50, MemExtra: 100_000}))
+	sim.SetHooks(pipeline.Hooks{Faults: faultinject.New(faultinject.Config{MemEvery: 50, MemExtra: 100_000})})
 	st, err := sim.Run(p, core.NoPredictor{}, 0)
 	if !errors.Is(err, simerr.ErrNoProgress) {
 		t.Fatalf("want ErrNoProgress, got %v", err)
@@ -158,7 +160,7 @@ func TestFaultInjectedFailure(t *testing.T) {
 	p := asm.MustAssemble("loadloop", loadLoopSrc, asm.Options{})
 	sim := pipeline.MustNew(pipeline.BaselineConfig())
 	inj := faultinject.New(faultinject.Config{FailAfter: 2})
-	sim.SetFaults(inj)
+	sim.SetHooks(pipeline.Hooks{Faults: inj})
 	for attempt := 1; attempt <= 2; attempt++ {
 		_, err := sim.Run(p, core.NoPredictor{}, 0)
 		if !errors.Is(err, simerr.ErrInjected) {
@@ -175,7 +177,7 @@ func TestFaultInjectedFailure(t *testing.T) {
 func TestFaultTransient(t *testing.T) {
 	p := asm.MustAssemble("loadloop", loadLoopSrc, asm.Options{})
 	sim := pipeline.MustNew(pipeline.BaselineConfig())
-	sim.SetFaults(faultinject.New(faultinject.Config{Transient: 1}))
+	sim.SetHooks(pipeline.Hooks{Faults: faultinject.New(faultinject.Config{Transient: 1})})
 	_, err := sim.Run(p, core.NoPredictor{}, 0)
 	if !errors.Is(err, simerr.ErrInjected) || !simerr.IsTransient(err) {
 		t.Fatalf("want transient ErrInjected, got %v", err)
@@ -191,7 +193,7 @@ func TestFaultTransient(t *testing.T) {
 func TestFaultPanicPropagates(t *testing.T) {
 	p := asm.MustAssemble("loadloop", loadLoopSrc, asm.Options{})
 	sim := pipeline.MustNew(pipeline.BaselineConfig())
-	sim.SetFaults(faultinject.New(faultinject.Config{PanicAfter: 1}))
+	sim.SetHooks(pipeline.Hooks{Faults: faultinject.New(faultinject.Config{PanicAfter: 1})})
 	for attempt := 1; attempt <= 2; attempt++ {
 		func() {
 			defer func() {

@@ -21,6 +21,7 @@ import (
 	"rvpsim/internal/core"
 	"rvpsim/internal/emu"
 	"rvpsim/internal/mem"
+	"rvpsim/internal/obs"
 	"rvpsim/internal/pipeline"
 	"rvpsim/internal/program"
 	"rvpsim/internal/simerr"
@@ -112,7 +113,10 @@ func run(prog, refProg *program.Program, cfg pipeline.Config, mkPred func() core
 	}
 
 	n := uint64(0) // commits compared so far == next commit's 0-based index
-	sim.SetTracer(func(tr pipeline.TraceRecord) {
+	// A sink-only observer: the pipeline builds commit events for it but
+	// publishes no metrics.
+	stream := &obs.Observer{}
+	stream.AddSink(obs.SinkFunc(func(got *obs.Event) {
 		if derr != nil {
 			return
 		}
@@ -123,42 +127,44 @@ func run(prog, refProg *program.Program, cfg pipeline.Config, mkPred func() core
 				cancel()
 				return
 			}
-			fail(tr.PC, tr.CommitAt, &Divergence{
+			fail(got.PC, got.Commit, &Divergence{
 				Commit: n, Field: "stream-length",
-				Got:  fmt.Sprintf("commit of pc %#x", tr.PC),
+				Got:  fmt.Sprintf("commit of pc %#x", got.PC),
 				Want: fmt.Sprintf("halt after %d instructions", ref.Count),
 			})
 			return
 		}
 		switch {
-		case e.PC != tr.PC:
-			fail(tr.PC, tr.CommitAt, &Divergence{
+		case e.PC != got.PC:
+			fail(got.PC, got.Commit, &Divergence{
 				Commit: n, Field: "pc",
-				Got: fmt.Sprintf("%#x", tr.PC), Want: fmt.Sprintf("%#x", e.PC),
+				Got: fmt.Sprintf("%#x", got.PC), Want: fmt.Sprintf("%#x", e.PC),
 			})
-		case e.WroteRd != tr.WroteRd:
-			fail(tr.PC, tr.CommitAt, &Divergence{
+		case e.WroteRd != got.WroteRd:
+			fail(got.PC, got.Commit, &Divergence{
 				Commit: n, Field: "wrote-rd",
-				Got: fmt.Sprintf("%v", tr.WroteRd), Want: fmt.Sprintf("%v", e.WroteRd),
+				Got: fmt.Sprintf("%v", got.WroteRd), Want: fmt.Sprintf("%v", e.WroteRd),
 			})
-		case e.WroteRd && e.Inst.Rd != tr.Rd:
-			fail(tr.PC, tr.CommitAt, &Divergence{
+		case e.WroteRd && int(e.Inst.Rd) != got.Rd:
+			fail(got.PC, got.Commit, &Divergence{
 				Commit: n, Field: "rd",
-				Got: fmt.Sprintf("r%d", tr.Rd), Want: fmt.Sprintf("r%d", e.Inst.Rd),
+				Got: fmt.Sprintf("r%d", got.Rd), Want: fmt.Sprintf("r%d", e.Inst.Rd),
 			})
-		case e.WroteRd && e.NewDest != tr.Value:
-			fail(tr.PC, tr.CommitAt, &Divergence{
+		case e.WroteRd && e.NewDest != got.Value:
+			fail(got.PC, got.Commit, &Divergence{
 				Commit: n, Field: "value",
-				Got: fmt.Sprintf("%#x", tr.Value), Want: fmt.Sprintf("%#x", e.NewDest),
+				Got: fmt.Sprintf("%#x", got.Value), Want: fmt.Sprintf("%#x", e.NewDest),
 			})
 		default:
 			n++
 		}
-	})
+	}))
+	hooks := pipeline.Hooks{Observer: stream}
 
 	lastGood := uint64(0)
 	if !opts.NoStateChecks {
-		sim.SetCheckpoint(opts.CheckEvery, func(snap *pipeline.Snapshot) error {
+		hooks.CheckpointEvery = opts.CheckEvery
+		hooks.OnCheckpoint = func(snap *pipeline.Snapshot) error {
 			if derr != nil {
 				return nil
 			}
@@ -180,10 +186,11 @@ func run(prog, refProg *program.Program, cfg pipeline.Config, mkPred func() core
 			d.Commit = c
 			fail(prog.PC(snap.Emu.PC), snap.Stats.Cycles, d)
 			return nil
-		})
+		}
 	}
+	sim.SetHooks(hooks)
 
-	stats, rerr := sim.RunContext(ctx, prog, mkPred(), opts.MaxInsts)
+	stats, rerr := sim.RunWarmedContext(ctx, nil, prog, mkPred(), opts.MaxInsts)
 	res.Stats = stats
 	res.Committed = n
 	if derr != nil {

@@ -13,11 +13,12 @@ var update = flag.Bool("update", false, "rewrite golden files")
 
 // goldenEvents is a small deterministic trace: three instructions with
 // distinct timing shapes (plain, predicted-correct, predicted-wrong).
+// The producer stamps Seq, so the input carries it.
 func goldenEvents() []Event {
 	return []Event{
-		{Index: 0, Fetch: 0, Dispatch: 2, Issue: 3, Done: 5, Commit: 6},
-		{Index: 1, Fetch: 0, Dispatch: 2, Issue: 2, Done: 4, Commit: 7, Predicted: true, Correct: true},
-		{Index: 2, Fetch: 1, Dispatch: 3, Issue: 6, Done: 9, Commit: 12, Predicted: true, Correct: false},
+		{Seq: 0, Index: 0, Fetch: 0, Dispatch: 2, Issue: 3, Done: 5, Commit: 6},
+		{Seq: 1, Index: 1, Fetch: 0, Dispatch: 2, Issue: 2, Done: 4, Commit: 7, Predicted: true, Correct: true},
+		{Seq: 2, Index: 2, Fetch: 1, Dispatch: 3, Issue: 6, Done: 9, Commit: 12, Predicted: true, Correct: false},
 	}
 }
 

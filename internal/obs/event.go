@@ -1,11 +1,12 @@
 package obs
 
-// Event is one structured trace event: the lifetime of one committed
-// instruction through the pipeline, in cycles. The producer emits events
-// in commit order and reuses the Event value between calls — sinks that
-// retain an event must copy it.
+// Event is one committed instruction: its lifetime through the pipeline
+// in cycles, how value prediction treated it, and what it
+// architecturally did. The producer emits events in commit order and
+// reuses the Event value between calls — sinks that retain an event must
+// copy it.
 type Event struct {
-	Seq       uint64 `json:"seq"`   // commit sequence number (0-based)
+	Seq       uint64 `json:"seq"`   // the run's 0-based commit index
 	Index     int    `json:"index"` // static instruction index
 	Fetch     int64  `json:"fetch"`
 	Dispatch  int64  `json:"dispatch"`
@@ -14,6 +15,11 @@ type Event struct {
 	Commit    int64  `json:"commit"`
 	Predicted bool   `json:"predicted"`
 	Correct   bool   `json:"correct"`
+
+	PC      uint64 `json:"pc"`       // simulated-memory address of the instruction
+	WroteRd bool   `json:"wrote_rd"` // instruction architecturally wrote Rd
+	Rd      int    `json:"rd"`       // destination register number (valid when WroteRd)
+	Value   uint64 `json:"value"`    // value written to Rd (valid when WroteRd)
 }
 
 // EventSink consumes trace events. Emit is called in commit order from
@@ -24,14 +30,27 @@ type EventSink interface {
 	Close() error
 }
 
+// SinkFunc adapts a function into an EventSink that never fails and
+// has nothing to close.
+type SinkFunc func(e *Event)
+
+// Emit implements EventSink.
+func (f SinkFunc) Emit(e *Event) error {
+	f(e)
+	return nil
+}
+
+// Close implements EventSink.
+func (SinkFunc) Close() error { return nil }
+
 // Observer bundles what one observed run publishes into: a metrics
 // registry and a chain of event sinks. A zero-sink observer costs the
-// simulator only batched counter flushes; event serialisation happens
-// only when sinks are attached.
+// simulator only batched counter flushes; event assembly happens only
+// when sinks are attached. The zero Observer has no registry: runs
+// observed through it feed its sinks and publish no metrics.
 type Observer struct {
 	reg   *Registry
 	sinks []EventSink
-	seq   uint64
 	err   error
 }
 
@@ -47,8 +66,14 @@ func NewObserverWith(reg *Registry) *Observer {
 	return &Observer{reg: reg}
 }
 
-// Registry returns the observer's metrics registry.
-func (o *Observer) Registry() *Registry { return o.reg }
+// Registry returns the observer's metrics registry (nil for a nil or
+// zero Observer).
+func (o *Observer) Registry() *Registry {
+	if o == nil {
+		return nil
+	}
+	return o.reg
+}
 
 // AddSink appends an event sink.
 func (o *Observer) AddSink(s EventSink) { o.sinks = append(o.sinks, s) }
@@ -57,12 +82,10 @@ func (o *Observer) AddSink(s EventSink) { o.sinks = append(o.sinks, s) }
 // to skip event assembly entirely on unobserved-event runs.
 func (o *Observer) HasSinks() bool { return o != nil && len(o.sinks) > 0 }
 
-// Emit assigns the next sequence number and forwards the event to every
-// sink. The first sink error is retained (see Err) and that sink is not
-// called again.
+// Emit forwards the event to every sink. The producer stamps e.Seq. The
+// first sink error is retained (see Err) and that sink is not called
+// again.
 func (o *Observer) Emit(e *Event) {
-	e.Seq = o.seq
-	o.seq++
 	for i := 0; i < len(o.sinks); i++ {
 		if err := o.sinks[i].Emit(e); err != nil {
 			if o.err == nil {
@@ -73,9 +96,6 @@ func (o *Observer) Emit(e *Event) {
 		}
 	}
 }
-
-// Events returns how many events have been emitted.
-func (o *Observer) Events() uint64 { return o.seq }
 
 // Err returns the first sink error, if any.
 func (o *Observer) Err() error { return o.err }

@@ -274,32 +274,27 @@ func TestObserverSeqAndSinks(t *testing.T) {
 		t.Error("fresh observer should have no sinks")
 	}
 	var nilObs *Observer
-	if nilObs.HasSinks() {
-		t.Error("nil observer must report no sinks")
+	if nilObs.HasSinks() || nilObs.Registry() != nil {
+		t.Error("nil observer must report no sinks and no registry")
+	}
+	if (&Observer{}).Registry() != nil {
+		t.Error("zero observer must have no registry")
 	}
 	var got []uint64
-	o.AddSink(sinkFunc(func(e *Event) error {
-		got = append(got, e.Seq)
-		return nil
-	}))
+	o.AddSink(SinkFunc(func(e *Event) { got = append(got, e.Seq) }))
+	// Seq is the producer's commit index; the observer passes it through.
 	for i := 0; i < 5; i++ {
-		o.Emit(&Event{Index: i})
+		o.Emit(&Event{Seq: uint64(100 + i), Index: i})
 	}
-	if o.Events() != 5 {
-		t.Errorf("events = %d, want 5", o.Events())
+	if len(got) != 5 {
+		t.Fatalf("sink saw %d events, want 5", len(got))
 	}
 	for i, s := range got {
-		if s != uint64(i) {
-			t.Errorf("seq[%d] = %d, want %d", i, s, i)
+		if s != uint64(100+i) {
+			t.Errorf("seq[%d] = %d, want %d", i, s, 100+i)
 		}
 	}
 	if err := o.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
-
-// sinkFunc adapts a function into an EventSink.
-type sinkFunc func(*Event) error
-
-func (f sinkFunc) Emit(e *Event) error { return f(e) }
-func (sinkFunc) Close() error          { return nil }

@@ -10,8 +10,8 @@ import (
 )
 
 // TestTimingInvariants drives random programs through the simulator under
-// several predictors and checks per-instruction event ordering via the
-// tracer: fetch <= dispatch < issue < done < commit, commit order is
+// several predictors and checks per-instruction event ordering on the
+// commit stream: fetch <= dispatch < issue < done < commit, commit order is
 // monotone, and the prediction accounting is internally consistent.
 func TestTimingInvariants(t *testing.T) {
 	seeds := 25
@@ -33,30 +33,30 @@ func TestTimingInvariants(t *testing.T) {
 				var lastCommit int64
 				var traced, predicted, correct uint64
 				bad := false
-				sim.SetTracer(func(tr pipeline.TraceRecord) {
+				sim.SetHooks(sinkHooks(func(e *obs.Event) {
 					traced++
-					if tr.Predicted {
+					if e.Predicted {
 						predicted++
-						if tr.Correct {
+						if e.Correct {
 							correct++
 						}
 					}
-					if !(tr.FetchAt <= tr.Dispatch && tr.Dispatch < tr.IssueAt &&
-						tr.IssueAt < tr.DoneAt && tr.DoneAt < tr.CommitAt) {
+					if !(e.Fetch <= e.Dispatch && e.Dispatch < e.Issue &&
+						e.Issue < e.Done && e.Done < e.Commit) {
 						if !bad {
-							t.Errorf("seed %d pred %d %v: event order violated: %+v", seed, pi, rec, tr)
+							t.Errorf("seed %d pred %d %v: event order violated: %+v", seed, pi, rec, e)
 						}
 						bad = true
 					}
-					if tr.CommitAt < lastCommit {
+					if e.Commit < lastCommit {
 						if !bad {
 							t.Errorf("seed %d pred %d %v: commit order regressed: %d after %d",
-								seed, pi, rec, tr.CommitAt, lastCommit)
+								seed, pi, rec, e.Commit, lastCommit)
 						}
 						bad = true
 					}
-					lastCommit = tr.CommitAt
-				})
+					lastCommit = e.Commit
+				}))
 				st, err := sim.Run(p, mk(), 20_000)
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
@@ -106,7 +106,7 @@ func TestObserverInvariants(t *testing.T) {
 		o := obs.NewObserver()
 		sink := &checkSink{}
 		o.AddSink(sink)
-		sim.SetObserver(o)
+		sim.SetHooks(pipeline.Hooks{Observer: o})
 		st, err := sim.Run(p, core.MustDynamicRVP(core.DefaultCounterConfig()), 20_000)
 		if err != nil {
 			t.Fatal(err)
@@ -190,7 +190,7 @@ func TestObserverMatchesUnobservedRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		sim := pipeline.MustNew(pipeline.BaselineConfig())
-		sim.SetObserver(obs.NewObserver())
+		sim.SetHooks(pipeline.Hooks{Observer: obs.NewObserver()})
 		observed, err := sim.Run(p, core.MustDynamicRVP(core.DefaultCounterConfig()), 20_000)
 		if err != nil {
 			t.Fatal(err)
@@ -230,12 +230,12 @@ func TestPredictionNeverChangesArchitecture(t *testing.T) {
 		p := progtest.Random(uint64(seed))
 		var idxNo, idxRVP []int
 		simA := pipeline.MustNew(pipeline.BaselineConfig())
-		simA.SetTracer(func(tr pipeline.TraceRecord) { idxNo = append(idxNo, tr.Index) })
+		simA.SetHooks(sinkHooks(func(e *obs.Event) { idxNo = append(idxNo, e.Index) }))
 		if _, err := simA.Run(p, core.NoPredictor{}, 5_000); err != nil {
 			t.Fatal(err)
 		}
 		simB := pipeline.MustNew(pipeline.BaselineConfig())
-		simB.SetTracer(func(tr pipeline.TraceRecord) { idxRVP = append(idxRVP, tr.Index) })
+		simB.SetHooks(sinkHooks(func(e *obs.Event) { idxRVP = append(idxRVP, e.Index) }))
 		if _, err := simB.Run(p, core.MustDynamicRVP(core.DefaultCounterConfig()), 5_000); err != nil {
 			t.Fatal(err)
 		}

@@ -34,7 +34,7 @@ func TestRunContextCanceled(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
-	st, err := sim.RunContext(ctx, p, core.NoPredictor{}, 0)
+	st, err := sim.RunWarmedContext(ctx, nil, p, core.NoPredictor{}, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -57,7 +57,7 @@ func TestRunContextPreCanceled(t *testing.T) {
 	sim := pipeline.MustNew(pipeline.BaselineConfig())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	st, err := sim.RunContext(ctx, p, core.NoPredictor{}, 0)
+	st, err := sim.RunWarmedContext(ctx, nil, p, core.NoPredictor{}, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -73,7 +73,7 @@ func TestRunContextDeadline(t *testing.T) {
 	sim := pipeline.MustNew(pipeline.BaselineConfig())
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	_, err := sim.RunContext(ctx, p, core.NoPredictor{}, 0)
+	_, err := sim.RunWarmedContext(ctx, nil, p, core.NoPredictor{}, 0)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want context.DeadlineExceeded, got %v", err)
 	}

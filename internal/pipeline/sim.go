@@ -120,30 +120,6 @@ const (
 	predGabbay
 )
 
-// TraceRecord is the per-committed-instruction record delivered to a
-// Tracer: when the instruction moved through each pipeline event, how
-// value prediction treated it, and what it architecturally did (PC and
-// destination write) — the latter lets differential harnesses compare
-// the committed stream against a reference emulator.
-type TraceRecord struct {
-	Index     int // static instruction index
-	FetchAt   int64
-	Dispatch  int64
-	IssueAt   int64
-	DoneAt    int64
-	CommitAt  int64
-	Predicted bool
-	Correct   bool
-
-	PC      uint64  // simulated-memory address of the instruction
-	WroteRd bool    // instruction architecturally wrote Rd
-	Rd      isa.Reg // destination register (valid when WroteRd)
-	Value   uint64  // value written to Rd (valid when WroteRd)
-}
-
-// Tracer receives one record per committed instruction, in commit order.
-type Tracer func(TraceRecord)
-
 // FaultInjector perturbs a run for robustness testing (see
 // internal/faultinject). All hooks run on the simulation goroutine; an
 // injector must not be shared between concurrent Sims.
@@ -241,60 +217,48 @@ type runState struct {
 	coherent bool   // state is at an instruction boundary (snapshot-safe)
 }
 
-// Sim is the timing simulator. One Sim runs one program; allocate a new
-// Sim (or call Run again, which resets state) per measurement.
+// Hooks is everything a caller attaches to a Sim's runs besides the
+// program and the predictor. Every hook runs on the simulation goroutine
+// and only reads simulator state, so no hook can change the committed
+// instruction/value stream except Faults, whose job that is. The zero
+// Hooks is a bare run.
+type Hooks struct {
+	// Observer receives the run's metrics (when it has a registry) and
+	// one Event per committed instruction, in commit order (when it has
+	// sinks). Statistics, stage-latency histograms, and the memory,
+	// branch and value-predictor counters are published batched, off the
+	// hot path.
+	Observer *obs.Observer
+	// Faults perturbs the run for robustness testing.
+	Faults FaultInjector
+	// OnCheckpoint receives a fresh Snapshot at the first commit-batch
+	// boundary after each further CheckpointEvery committed
+	// instructions. A non-nil error aborts the run with a
+	// "checkpoint"-stage SimError; return nil to treat write failures as
+	// non-fatal.
+	CheckpointEvery uint64
+	OnCheckpoint    func(*Snapshot) error
+	// OnProgress receives the committed-instruction count and current
+	// cycle at the first commit-batch boundary after each further
+	// ProgressEvery committed instructions: the live heartbeat the
+	// service's job streams are fed from.
+	ProgressEvery uint64
+	OnProgress    func(committed uint64, cycles int64)
+}
+
+// Sim is the timing simulator. One Sim runs one program at a time; Run
+// again (which resets state) or allocate a new Sim per measurement.
 type Sim struct {
-	cfg    Config
-	hier   *mem.Hierarchy
-	bp     *bpred.Predictor
-	tracer Tracer
-	obs    *obs.Observer
-	faults FaultInjector
-
-	cur       *runState // state of the current / most recent run
-	ckptEvery uint64
-	ckptFn    func(*Snapshot) error
-	progEvery uint64
-	progFn    func(committed uint64, cycles int64)
+	cfg   Config
+	hier  *mem.Hierarchy
+	bp    *bpred.Predictor
+	hooks Hooks
+	cur   *runState // state of the current / most recent run
 }
 
-// SetTracer installs a per-instruction trace callback (nil disables).
-func (s *Sim) SetTracer(t Tracer) { s.tracer = t }
-
-// SetFaults installs a fault injector (nil disables).
-func (s *Sim) SetFaults(f FaultInjector) { s.faults = f }
-
-// SetObserver attaches an observability sink (nil disables). With an
-// observer attached, each Run publishes its statistics, stage-latency
-// histograms, and the memory/branch/value-predictor counters into the
-// observer's registry (batched off the hot path), and — when the
-// observer has event sinks — emits one structured trace event per
-// committed instruction, in commit order.
-func (s *Sim) SetObserver(o *obs.Observer) { s.obs = o }
-
-// SetCheckpoint arms periodic checkpointing: fn receives a fresh
-// Snapshot at the first commit-batch boundary after each further
-// `every` committed instructions. fn runs on the simulation goroutine;
-// a non-nil error aborts the run with a "checkpoint"-stage SimError
-// (return nil from fn to treat write failures as non-fatal). every == 0
-// or fn == nil disables periodic checkpointing. Snapshot construction
-// only reads simulator state, so arming checkpoints cannot change the
-// committed instruction/value stream.
-func (s *Sim) SetCheckpoint(every uint64, fn func(*Snapshot) error) {
-	s.ckptEvery, s.ckptFn = every, fn
-}
-
-// SetProgress arms a periodic progress callback: fn receives the run's
-// committed-instruction count and current cycle at the first
-// commit-batch boundary after each further `every` committed
-// instructions. fn runs on the simulation goroutine between committed
-// instructions; it only reads the two values handed to it, so arming
-// progress cannot change the committed instruction/value stream. It is
-// the live-heartbeat hook the service's SSE job streams are fed from.
-// every == 0 or fn == nil disables.
-func (s *Sim) SetProgress(every uint64, fn func(committed uint64, cycles int64)) {
-	s.progEvery, s.progFn = every, fn
-}
+// SetHooks replaces every hook at once: hooks the new value leaves zero
+// are off, whatever an earlier SetHooks armed.
+func (s *Sim) SetHooks(h Hooks) { s.hooks = h }
 
 // New builds a simulator for the configuration.
 func New(cfg Config) (*Sim, error) {
@@ -516,19 +480,33 @@ func (r *runState) release(p *pendingPred) {
 // Run simulates prog under value predictor pred for at most maxInsts
 // committed instructions (0 = until HALT) and returns the statistics.
 func (s *Sim) Run(prog *program.Program, pred core.Predictor, maxInsts uint64) (Stats, error) {
-	return s.RunContext(context.Background(), prog, pred, maxInsts)
+	return s.RunWarmedContext(context.Background(), nil, prog, pred, maxInsts)
 }
 
-// RunContext is Run honoring ctx: cancellation and deadlines are observed
-// at commit-batch granularity (the run stops within one batch of the
-// context ending, returning coherent partial Stats and an error wrapping
-// ctx.Err()). When cfg.WatchdogCycles > 0, a forward-progress watchdog
-// additionally aborts with an error wrapping simerr.ErrNoProgress if no
-// instruction commits for more than that many simulated cycles.
-func (s *Sim) RunContext(ctx context.Context, prog *program.Program, pred core.Predictor, maxInsts uint64) (Stats, error) {
-	st, err := emu.New(prog)
+// RunWarmedContext runs prog from warm's architectural state, or from
+// the program's initial state when warm is nil. Either way every
+// microarchitectural structure — caches, TLBs, branch predictor, value
+// predictor, timing state — starts cold. The emulator begins at warm's
+// boundary, registers and memory via a copy-on-write fork. maxInsts
+// bounds the measured phase: committed instructions after the warmup
+// boundary (Stats.Committed starts at 0).
+//
+// Cancellation and deadlines are observed at commit-batch granularity:
+// the run stops within one batch of ctx ending, returning coherent
+// partial Stats and an error wrapping ctx.Err(). When
+// cfg.WatchdogCycles > 0, a forward-progress watchdog aborts with an
+// error wrapping simerr.ErrNoProgress if no instruction commits for more
+// than that many simulated cycles.
+func (s *Sim) RunWarmedContext(ctx context.Context, warm *WarmState, prog *program.Program, pred core.Predictor, maxInsts uint64) (Stats, error) {
+	var st *emu.State
+	var err error
+	if warm != nil {
+		st, err = warm.Fork(prog)
+	} else if st, err = emu.New(prog); err != nil {
+		err = simerr.New("emu", err)
+	}
 	if err != nil {
-		return Stats{}, simerr.New("emu", err)
+		return Stats{}, err
 	}
 	if err := s.startRun(pred); err != nil {
 		return Stats{}, err
@@ -572,7 +550,8 @@ func (s *Sim) startRun(pred core.Predictor) error {
 // prog must be the same program the snapshot was taken from, and pred a
 // predictor constructed identically to the original (its dynamic state
 // is overwritten from the snapshot; it must implement
-// core.Checkpointable). Mismatches are rejected with errors wrapping
+// core.Checkpointable), and the Sim's configuration must be the one the
+// snapshot was taken under. Mismatches are rejected with errors wrapping
 // simerr.ErrCorrupt, not silently misrestored.
 func (s *Sim) ResumeContext(ctx context.Context, snap *Snapshot, prog *program.Program, pred core.Predictor, maxInsts uint64) (Stats, error) {
 	if snap == nil {
@@ -605,28 +584,21 @@ func (s *Sim) ResumeContext(ctx context.Context, snap *Snapshot, prog *program.P
 	return s.loop(ctx, r, maxInsts)
 }
 
-// RestoreSim builds a fresh simulator configured exactly as the one the
-// snapshot was taken from. Follow with ResumeContext to continue the run.
-func RestoreSim(snap *Snapshot) (*Sim, error) {
-	if snap == nil {
-		return nil, simerr.Newf("checkpoint", "nil snapshot")
-	}
-	return New(snap.Config)
-}
-
 // loop is the simulation main loop, shared by fresh and resumed runs.
 func (s *Sim) loop(ctx context.Context, r *runState, maxInsts uint64) (Stats, error) {
 	cfg := s.cfg
 	prog, pred, st := r.prog, r.pred, r.st
 	var e emu.Exec // reused across iterations (StepInto)
 
-	// Observability: batched metrics and (when sinks are attached)
-	// per-instruction structured events.
+	h := &s.hooks
+
+	// Observability: batched metrics (when a registry is attached) and
+	// per-instruction events (when sinks are).
 	var m *meters
-	if s.obs != nil {
-		m = newMeters(s.obs.Registry())
+	if reg := h.Observer.Registry(); reg != nil {
+		m = newMeters(reg)
 	}
-	emitEvents := s.obs.HasSinks()
+	emitEvents := h.Observer.HasSinks()
 	var ev obs.Event
 
 	resetFetch := func(to int64) {
@@ -672,8 +644,8 @@ func (s *Sim) loop(ctx context.Context, r *runState, maxInsts uint64) (Stats, er
 					Cycle: r.lastCycle, HasCycle: true, Err: err,
 				}
 			}
-			if s.faults != nil {
-				if err := s.faults.CheckPoint(r.stats.Committed, r.lastCycle); err != nil {
+			if h.Faults != nil {
+				if err := h.Faults.CheckPoint(r.stats.Committed, r.lastCycle); err != nil {
 					finalize()
 					return r.stats, &simerr.SimError{
 						Stage: "faultinject", Workload: prog.Name,
@@ -681,15 +653,15 @@ func (s *Sim) loop(ctx context.Context, r *runState, maxInsts uint64) (Stats, er
 					}
 				}
 			}
-			if s.progFn != nil && s.progEvery > 0 && r.stats.Committed >= r.lastProg+s.progEvery {
+			if h.OnProgress != nil && h.ProgressEvery > 0 && r.stats.Committed >= r.lastProg+h.ProgressEvery {
 				r.lastProg = r.stats.Committed
-				s.progFn(r.stats.Committed, r.lastCycle)
+				h.OnProgress(r.stats.Committed, r.lastCycle)
 			}
-			if s.ckptFn != nil && s.ckptEvery > 0 && r.stats.Committed >= r.lastCkpt+s.ckptEvery {
+			if h.OnCheckpoint != nil && h.CheckpointEvery > 0 && r.stats.Committed >= r.lastCkpt+h.CheckpointEvery {
 				r.lastCkpt = r.stats.Committed
 				snap, err := s.buildSnapshot(r)
 				if err == nil {
-					err = s.ckptFn(snap)
+					err = h.OnCheckpoint(snap)
 				}
 				if err != nil {
 					finalize()
@@ -796,7 +768,7 @@ func (s *Sim) loop(ctx context.Context, r *runState, maxInsts uint64) (Stats, er
 		if e.WroteRd {
 			r.stats.Eligible++
 			dec = r.decide(idx, in)
-			if s.faults != nil && dec.Kind != core.KindNone && s.faults.FlipPredict(idx) {
+			if h.Faults != nil && dec.Kind != core.KindNone && h.Faults.FlipPredict(idx) {
 				dec.Predict = !dec.Predict
 			}
 			if dec.Kind != core.KindNone || dec.Predict {
@@ -910,8 +882,8 @@ func (s *Sim) loop(ctx context.Context, r *runState, maxInsts uint64) (Stats, er
 		doneAt := issueAt + inf.lat
 		if isMem {
 			lat := s.hier.AccessDataAt(e.EA, issueAt)
-			if s.faults != nil {
-				lat = s.faults.MemLatency(e.EA, issueAt, lat)
+			if h.Faults != nil {
+				lat = h.Faults.MemLatency(e.EA, issueAt, lat)
 			}
 			doneAt += int64(lat)
 			if cls == isa.ClassLoad {
@@ -1047,24 +1019,9 @@ func (s *Sim) loop(ctx context.Context, r *runState, maxInsts uint64) (Stats, er
 			r.commitPred(idx, in, predVal, e.NewDest)
 		}
 
-		if s.tracer != nil {
-			s.tracer(TraceRecord{
-				Index:     idx,
-				FetchAt:   myFetch,
-				Dispatch:  dispatch,
-				IssueAt:   issueAt,
-				DoneAt:    doneAt,
-				CommitAt:  commitAt,
-				Predicted: predicted,
-				Correct:   correct,
-				PC:        e.PC,
-				WroteRd:   e.WroteRd,
-				Rd:        in.Rd,
-				Value:     e.NewDest,
-			})
-		}
 		if emitEvents {
 			ev = obs.Event{
+				Seq:       r.stats.Committed - 1,
 				Index:     idx,
 				Fetch:     myFetch,
 				Dispatch:  dispatch,
@@ -1073,8 +1030,12 @@ func (s *Sim) loop(ctx context.Context, r *runState, maxInsts uint64) (Stats, er
 				Commit:    commitAt,
 				Predicted: predicted,
 				Correct:   correct,
+				PC:        e.PC,
+				WroteRd:   e.WroteRd,
+				Rd:        int(in.Rd),
+				Value:     e.NewDest,
 			}
-			s.obs.Emit(&ev)
+			h.Observer.Emit(&ev)
 		}
 
 		r.coherent = true

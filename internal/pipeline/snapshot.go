@@ -132,8 +132,8 @@ func (c *capRing) restore(slots []RingSlot) error {
 }
 
 // Snapshot captures the current run's complete state. It is valid while
-// a run is at an instruction boundary: during a SetCheckpoint callback,
-// or after RunContext/ResumeContext returned at an instruction boundary
+// a run is at an instruction boundary: during a Hooks.OnCheckpoint
+// callback, or after a run or resume returned at an instruction boundary
 // (normal completion, maxInsts bound, context cancellation, fault-
 // injector checkpoint error). A watchdog or oracle abort leaves the
 // simulator mid-instruction and is rejected.

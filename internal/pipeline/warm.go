@@ -1,10 +1,8 @@
 package pipeline
 
 import (
-	"context"
 	"fmt"
 
-	"rvpsim/internal/core"
 	"rvpsim/internal/emu"
 	"rvpsim/internal/program"
 	"rvpsim/internal/simerr"
@@ -75,29 +73,4 @@ func (w *WarmState) Fork(prog *program.Program) (*emu.State, error) {
 		return nil, simerr.New("warmup", err)
 	}
 	return st, nil
-}
-
-// RunWarmedContext is RunContext starting from a warmed architectural
-// state: the emulator begins at warm's boundary (registers and memory
-// via a copy-on-write fork) while every microarchitectural structure —
-// caches, TLBs, branch predictor, value predictor, timing state — starts
-// cold, exactly as a cold run's structures look at its first
-// instruction. maxInsts bounds the measured phase: committed
-// instructions after the warmup boundary (Stats.Committed starts at 0
-// here, as in RunContext). The warmed run remains checkpointable and
-// observable like any other. A nil warm degenerates to RunContext.
-func (s *Sim) RunWarmedContext(ctx context.Context, warm *WarmState, prog *program.Program, pred core.Predictor, maxInsts uint64) (Stats, error) {
-	if warm == nil {
-		return s.RunContext(ctx, prog, pred, maxInsts)
-	}
-	st, err := warm.Fork(prog)
-	if err != nil {
-		return Stats{}, err
-	}
-	if err := s.startRun(pred); err != nil {
-		return Stats{}, err
-	}
-	r := s.newRunState(prog, pred, st)
-	s.cur = r
-	return s.loop(ctx, r, maxInsts)
 }

@@ -12,7 +12,7 @@ import (
 	"testing"
 
 	"rvpsim/internal/core"
-	"rvpsim/internal/isa"
+	"rvpsim/internal/obs"
 	"rvpsim/internal/pipeline"
 	"rvpsim/internal/workloads"
 )
@@ -25,14 +25,22 @@ type archRec struct {
 	Index int
 	PC    uint64
 	Wrote bool
-	Rd    isa.Reg
+	Rd    int
 	Value uint64
 }
 
-func archTracer(out *[]archRec) pipeline.Tracer {
-	return func(tr pipeline.TraceRecord) {
-		*out = append(*out, archRec{Index: tr.Index, PC: tr.PC, Wrote: tr.WroteRd, Rd: tr.Rd, Value: tr.Value})
-	}
+// sinkHooks attaches fn to the commit stream through a registry-less
+// observer.
+func sinkHooks(fn func(e *obs.Event)) pipeline.Hooks {
+	o := &obs.Observer{}
+	o.AddSink(obs.SinkFunc(fn))
+	return pipeline.Hooks{Observer: o}
+}
+
+func archSink(out *[]archRec) pipeline.Hooks {
+	return sinkHooks(func(e *obs.Event) {
+		*out = append(*out, archRec{Index: e.Index, PC: e.PC, Wrote: e.WroteRd, Rd: e.Rd, Value: e.Value})
+	})
 }
 
 func diffStreams(t *testing.T, label string, want, got []archRec) {
@@ -79,7 +87,7 @@ func TestWarmupForkEquivalence(t *testing.T) {
 			// go, keep only the tail of the stream.
 			var cold []archRec
 			coldSim := pipeline.MustNew(cfg)
-			coldSim.SetTracer(archTracer(&cold))
+			coldSim.SetHooks(archSink(&cold))
 			coldStats, err := coldSim.Run(prog, mk(), warmN+measureN)
 			if err != nil {
 				t.Fatal(err)
@@ -90,7 +98,7 @@ func TestWarmupForkEquivalence(t *testing.T) {
 
 			var warmed []archRec
 			warmSim := pipeline.MustNew(cfg)
-			warmSim.SetTracer(archTracer(&warmed))
+			warmSim.SetHooks(archSink(&warmed))
 			warmStats, err := warmSim.RunWarmedContext(t.Context(), warm, prog, mk(), measureN)
 			if err != nil {
 				t.Fatal(err)
@@ -129,7 +137,7 @@ func TestWarmupConcurrentForks(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			sim := pipeline.MustNew(cfg)
-			sim.SetTracer(archTracer(&streams[i]))
+			sim.SetHooks(archSink(&streams[i]))
 			if _, err := sim.RunWarmedContext(t.Context(), warm, prog, core.MustDynamicRVP(core.DefaultCounterConfig()), measureN); err != nil {
 				t.Error(err)
 			}
@@ -145,8 +153,7 @@ func TestWarmupConcurrentForks(t *testing.T) {
 }
 
 // TestWarmupZeroIsColdRun: a WarmState captured at instruction 0 must be
-// a cold run in every observable respect, and a nil WarmState must
-// degrade to RunContext.
+// a cold run in every observable respect, and so must a nil WarmState.
 func TestWarmupZeroIsColdRun(t *testing.T) {
 	const budget = 50_000
 	prog, err := workloads.ByName("li")
@@ -157,7 +164,7 @@ func TestWarmupZeroIsColdRun(t *testing.T) {
 
 	var cold []archRec
 	coldSim := pipeline.MustNew(cfg)
-	coldSim.SetTracer(archTracer(&cold))
+	coldSim.SetHooks(archSink(&cold))
 	coldStats, err := coldSim.Run(prog, core.MustDynamicRVP(core.DefaultCounterConfig()), budget)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +179,7 @@ func TestWarmupZeroIsColdRun(t *testing.T) {
 	}
 	var warmed []archRec
 	warmSim := pipeline.MustNew(cfg)
-	warmSim.SetTracer(archTracer(&warmed))
+	warmSim.SetHooks(archSink(&warmed))
 	warmStats, err := warmSim.RunWarmedContext(t.Context(), warm, prog, core.MustDynamicRVP(core.DefaultCounterConfig()), budget)
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +191,7 @@ func TestWarmupZeroIsColdRun(t *testing.T) {
 
 	var viaNil []archRec
 	nilSim := pipeline.MustNew(cfg)
-	nilSim.SetTracer(archTracer(&viaNil))
+	nilSim.SetHooks(archSink(&viaNil))
 	nilStats, err := nilSim.RunWarmedContext(t.Context(), nil, prog, core.MustDynamicRVP(core.DefaultCounterConfig()), budget)
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +252,7 @@ func TestWarmedRunCheckpointResume(t *testing.T) {
 	// Uninterrupted warmed reference.
 	var ref []archRec
 	refSim := pipeline.MustNew(cfg)
-	refSim.SetTracer(archTracer(&ref))
+	refSim.SetHooks(archSink(&ref))
 	refStats, err := refSim.RunWarmedContext(t.Context(), warm, prog, core.MustDynamicRVP(core.DefaultCounterConfig()), measureN)
 	if err != nil {
 		t.Fatal(err)
@@ -255,13 +262,15 @@ func TestWarmedRunCheckpointResume(t *testing.T) {
 	var head []archRec
 	var snap *pipeline.Snapshot
 	runSim := pipeline.MustNew(cfg)
-	runSim.SetTracer(archTracer(&head))
-	runSim.SetCheckpoint(ckptAt, func(s *pipeline.Snapshot) error {
+	hooks := archSink(&head)
+	hooks.CheckpointEvery = ckptAt
+	hooks.OnCheckpoint = func(s *pipeline.Snapshot) error {
 		if snap == nil {
 			snap = s
 		}
 		return nil
-	})
+	}
+	runSim.SetHooks(hooks)
 	if _, err := runSim.RunWarmedContext(t.Context(), warm, prog, core.MustDynamicRVP(core.DefaultCounterConfig()), measureN); err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +280,7 @@ func TestWarmedRunCheckpointResume(t *testing.T) {
 
 	var tail []archRec
 	resSim := pipeline.MustNew(cfg)
-	resSim.SetTracer(archTracer(&tail))
+	resSim.SetHooks(archSink(&tail))
 	resStats, err := resSim.ResumeContext(t.Context(), snap, prog, core.MustDynamicRVP(core.DefaultCounterConfig()), measureN)
 	if err != nil {
 		t.Fatal(err)
@@ -303,22 +312,22 @@ func TestSimReuseDeterminism(t *testing.T) {
 
 	cells := []struct {
 		name string
-		run  func(sim *pipeline.Sim, tr pipeline.Tracer) (pipeline.Stats, error)
+		run  func(sim *pipeline.Sim, h pipeline.Hooks) (pipeline.Stats, error)
 	}{
-		{"li/drvp", func(sim *pipeline.Sim, tr pipeline.Tracer) (pipeline.Stats, error) {
-			sim.SetTracer(tr)
+		{"li/drvp", func(sim *pipeline.Sim, h pipeline.Hooks) (pipeline.Stats, error) {
+			sim.SetHooks(h)
 			return sim.Run(li, core.MustDynamicRVP(core.DefaultCounterConfig()), budget)
 		}},
-		{"go/none", func(sim *pipeline.Sim, tr pipeline.Tracer) (pipeline.Stats, error) {
-			sim.SetTracer(tr)
+		{"go/none", func(sim *pipeline.Sim, h pipeline.Hooks) (pipeline.Stats, error) {
+			sim.SetHooks(h)
 			return sim.Run(goProg, core.NoPredictor{}, budget)
 		}},
-		{"li/lvp+warm", func(sim *pipeline.Sim, tr pipeline.Tracer) (pipeline.Stats, error) {
-			sim.SetTracer(tr)
+		{"li/lvp+warm", func(sim *pipeline.Sim, h pipeline.Hooks) (pipeline.Stats, error) {
+			sim.SetHooks(h)
 			return sim.RunWarmedContext(t.Context(), warm, li, core.MustLVP(core.DefaultLVPConfig(), "lvp"), budget)
 		}},
-		{"li/drvp-again", func(sim *pipeline.Sim, tr pipeline.Tracer) (pipeline.Stats, error) {
-			sim.SetTracer(tr)
+		{"li/drvp-again", func(sim *pipeline.Sim, h pipeline.Hooks) (pipeline.Stats, error) {
+			sim.SetHooks(h)
 			return sim.Run(li, core.MustDynamicRVP(core.DefaultCounterConfig()), budget)
 		}},
 	}
@@ -327,11 +336,11 @@ func TestSimReuseDeterminism(t *testing.T) {
 	for _, c := range cells {
 		var fresh, recycled []archRec
 		fs := pipeline.MustNew(pipeline.BaselineConfig())
-		wantStats, err := c.run(fs, archTracer(&fresh))
+		wantStats, err := c.run(fs, archSink(&fresh))
 		if err != nil {
 			t.Fatalf("%s: fresh: %v", c.name, err)
 		}
-		gotStats, err := c.run(reused, archTracer(&recycled))
+		gotStats, err := c.run(reused, archSink(&recycled))
 		if err != nil {
 			t.Fatalf("%s: reused: %v", c.name, err)
 		}

@@ -7,11 +7,18 @@
 //
 // The package is a facade over the internal subsystems. A minimal session:
 //
+//	ctx := context.Background()
 //	prog, _ := rvpsim.Workload("hydro2d")
 //	cfg := rvpsim.BaselineConfig()
-//	base, _ := rvpsim.Run(prog, cfg, rvpsim.NoPrediction(), 1_000_000)
-//	rvp, _ := rvpsim.Run(prog, cfg, rvpsim.DynamicRVP(), 1_000_000)
+//	opts := rvpsim.RunOptions{MaxInsts: 1_000_000}
+//	base, _ := rvpsim.Run(ctx, prog, cfg, rvpsim.NoPrediction(), opts)
+//	rvp, _ := rvpsim.Run(ctx, prog, cfg, rvpsim.DynamicRVP(), opts)
 //	fmt.Printf("speedup %.3f\n", float64(base.Cycles)/float64(rvp.Cycles))
+//
+// Run is the one way to simulate; RunOptions attaches what a run can
+// carry besides the program and predictor: an instruction budget, an
+// Observer (metrics, and an Event per committed instruction), periodic
+// checkpoints, and a Snapshot to resume from.
 //
 // Custom programs are written in the simulator's assembly dialect (see
 // package internal/asm for the syntax) and assembled with Assemble. Every
@@ -148,55 +155,70 @@ var (
 	ErrDivergence = simerr.ErrDivergence
 )
 
-// Run simulates prog on the configured machine under the given value
-// predictor for at most maxInsts committed instructions (0 = to HALT).
-func Run(prog *Program, cfg Config, pred Predictor, maxInsts uint64) (Stats, error) {
-	return RunContext(context.Background(), prog, cfg, pred, maxInsts)
+// RunOptions configures one Run. The zero value runs to HALT with
+// nothing attached.
+type RunOptions struct {
+	// MaxInsts bounds the run's committed instructions (0 = to HALT).
+	// When resuming, it counts from the start of the original run.
+	MaxInsts uint64
+	// Observer, when non-nil, receives the run's statistics, stage
+	// histograms and subsystem counters in its registry, and one Event
+	// per committed instruction, in commit order, in its sinks. On early
+	// exit the published metrics cover the committed prefix. The caller
+	// closes the observer after the run to flush its sinks.
+	Observer *Observer
+	// OnCheckpoint, when non-nil, receives a fresh Snapshot after each
+	// further CheckpointEvery committed instructions (at the next
+	// commit-batch boundary). Its error aborts the run; return nil to
+	// treat checkpoint-write failures as non-fatal. Snapshot
+	// construction only reads simulator state, so checkpointing never
+	// perturbs the committed instruction/value stream.
+	CheckpointEvery uint64
+	OnCheckpoint    func(*Snapshot) error
+	// Resume, when non-nil, continues the run the snapshot was taken
+	// from instead of starting fresh. prog must be the program, cfg the
+	// configuration and pred a predictor constructed identically to the
+	// original's (its dynamic state is overwritten from the snapshot).
+	// Mismatches are rejected with errors wrapping ErrCorrupt. The
+	// resumed run commits the identical stream and ends with identical
+	// Stats as the uninterrupted run.
+	Resume *Snapshot
 }
 
-// RunContext is Run honoring ctx: cancellation and deadlines are checked
-// at commit-batch granularity (every 1024 committed instructions), so a
-// canceled run stops within one batch and returns the context's error
-// wrapped in a SimError, together with coherent partial Stats for the
-// work completed. Arming cfg.WatchdogCycles additionally bounds the
-// simulated-cycle gap between commits, converting a hung run into a
-// structured ErrNoProgress failure:
+// Run simulates prog on the configured machine under the given value
+// predictor.
+//
+// ctx is checked at commit-batch granularity (every 1024 committed
+// instructions), so a canceled run stops within one batch and returns
+// the context's error wrapped in a SimError, together with coherent
+// partial Stats for the work completed. Arming cfg.WatchdogCycles
+// additionally bounds the simulated-cycle gap between commits,
+// converting a hung run into a structured ErrNoProgress failure:
 //
 //	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 //	defer cancel()
-//	st, err := rvpsim.RunContext(ctx, prog, cfg, rvpsim.DynamicRVP(), 0)
-func RunContext(ctx context.Context, prog *Program, cfg Config, pred Predictor, maxInsts uint64) (Stats, error) {
+//	st, err := rvpsim.Run(ctx, prog, cfg, rvpsim.DynamicRVP(), rvpsim.RunOptions{})
+func Run(ctx context.Context, prog *Program, cfg Config, pred Predictor, opts RunOptions) (Stats, error) {
 	sim, err := pipeline.New(cfg)
 	if err != nil {
 		return Stats{}, err
 	}
-	return sim.RunContext(ctx, prog.p, pred, maxInsts)
-}
-
-// TraceRecord is the per-committed-instruction timing record produced by
-// RunTraced: pipeline event cycles plus the value-prediction outcome.
-type TraceRecord = pipeline.TraceRecord
-
-// RunTraced is Run with a per-instruction trace callback (commit order).
-func RunTraced(prog *Program, cfg Config, pred Predictor, maxInsts uint64, fn func(TraceRecord)) (Stats, error) {
-	return RunTracedContext(context.Background(), prog, cfg, pred, maxInsts, fn)
-}
-
-// RunTracedContext is RunTraced honoring ctx with the same commit-batch
-// cancellation semantics as RunContext.
-func RunTracedContext(ctx context.Context, prog *Program, cfg Config, pred Predictor, maxInsts uint64, fn func(TraceRecord)) (Stats, error) {
-	sim, err := pipeline.New(cfg)
-	if err != nil {
-		return Stats{}, err
+	sim.SetHooks(pipeline.Hooks{
+		Observer:        opts.Observer,
+		CheckpointEvery: opts.CheckpointEvery,
+		OnCheckpoint:    opts.OnCheckpoint,
+	})
+	if opts.Resume != nil {
+		return sim.ResumeContext(ctx, opts.Resume, prog.p, pred, opts.MaxInsts)
 	}
-	sim.SetTracer(pipeline.Tracer(fn))
-	return sim.RunContext(ctx, prog.p, pred, maxInsts)
+	return sim.RunWarmedContext(ctx, nil, prog.p, pred, opts.MaxInsts)
 }
 
 // Observability re-exports (see internal/obs). An Observer carries a
 // metrics Registry that the pipeline, branch predictor, memory
 // hierarchy, and value predictors publish into, plus optional event
-// sinks receiving one structured trace event per committed instruction.
+// sinks receiving one Event per committed instruction. The zero
+// Observer has no registry: it feeds its sinks and costs no metrics.
 type (
 	// Observer bundles a metrics registry and event sinks for one or
 	// more observed runs.
@@ -205,10 +227,13 @@ type (
 	Registry = obs.Registry
 	// MetricsSnapshot is a point-in-time copy of a registry.
 	MetricsSnapshot = obs.Snapshot
-	// Event is one committed instruction's pipeline trace event.
+	// Event is one committed instruction: commit index, stage cycles,
+	// prediction outcome, and the PC, destination register and value.
 	Event = obs.Event
-	// EventSink consumes trace events in commit order.
+	// EventSink consumes events in commit order.
 	EventSink = obs.EventSink
+	// SinkFunc adapts a function into an EventSink.
+	SinkFunc = obs.SinkFunc
 	// RunManifest is the machine-readable record of an experiment run.
 	RunManifest = obs.Manifest
 )
@@ -227,28 +252,6 @@ func NewChromeTrace(w io.Writer) *obs.ChromeTrace { return obs.NewChromeTrace(w)
 // NewJSONLTrace returns an event sink writing one JSON object per event
 // per line to w.
 func NewJSONLTrace(w io.Writer) *obs.JSONLTrace { return obs.NewJSONLTrace(w) }
-
-// RunObserved is Run with an observability sink attached: the run's
-// statistics, stage-latency histograms, and subsystem counters are
-// published into o's registry, and each committed instruction is
-// delivered to o's event sinks (if any) in commit order. The caller
-// closes the observer after the run to flush event sinks.
-func RunObserved(prog *Program, cfg Config, pred Predictor, maxInsts uint64, o *Observer) (Stats, error) {
-	return RunObservedContext(context.Background(), prog, cfg, pred, maxInsts, o)
-}
-
-// RunObservedContext is RunObserved honoring ctx with the same
-// commit-batch cancellation semantics as RunContext. On early exit the
-// metrics published into o's registry cover the committed prefix, so
-// partial runs remain observable.
-func RunObservedContext(ctx context.Context, prog *Program, cfg Config, pred Predictor, maxInsts uint64, o *Observer) (Stats, error) {
-	sim, err := pipeline.New(cfg)
-	if err != nil {
-		return Stats{}, err
-	}
-	sim.SetObserver(o)
-	return sim.RunContext(ctx, prog.p, pred, maxInsts)
-}
 
 // Disassemble renders the program as assembler-like text.
 func (p *Program) Disassemble() string { return asm.Disassemble(p.p) }
@@ -439,7 +442,7 @@ func (e *Experiments) Table1() string { return e.r.Table1() }
 // Snapshot is the complete, serializable state of a run at an
 // instruction boundary: architectural state, every microarchitectural
 // table, the accumulated Stats, and the timing model's position.
-// Resuming from a Snapshot commits the identical instruction/value
+// Resuming from a Snapshot (RunOptions.Resume) commits the identical instruction/value
 // stream — and produces identical final Stats — as the uninterrupted
 // run it was taken from.
 type Snapshot = pipeline.Snapshot
@@ -455,40 +458,6 @@ func SaveCheckpoint(path string, snap *Snapshot) error { return checkpoint.Save(
 // raw filesystem error so callers can distinguish "never checkpointed"
 // from "checkpoint destroyed".
 func LoadCheckpoint(path string) (*Snapshot, error) { return checkpoint.Load(path) }
-
-// RunCheckpointed is RunContext with periodic checkpointing armed: fn
-// receives a fresh Snapshot after each further `every` committed
-// instructions (at the next commit-batch boundary). fn's error aborts
-// the run; return nil to treat checkpoint-write failures as non-fatal.
-// Snapshot construction only reads simulator state, so checkpointing
-// never perturbs the committed instruction/value stream.
-func RunCheckpointed(ctx context.Context, prog *Program, cfg Config, pred Predictor, maxInsts, every uint64, fn func(*Snapshot) error) (Stats, error) {
-	sim, err := pipeline.New(cfg)
-	if err != nil {
-		return Stats{}, err
-	}
-	sim.SetCheckpoint(every, fn)
-	return sim.RunContext(ctx, prog.p, pred, maxInsts)
-}
-
-// Resume continues a run from a snapshot until maxInsts total committed
-// instructions (0 = until HALT). prog must be the program the snapshot
-// was taken from and pred a predictor constructed identically to the
-// original (its dynamic state is overwritten from the snapshot).
-// Mismatches are rejected with errors wrapping ErrCorrupt.
-func Resume(snap *Snapshot, prog *Program, pred Predictor, maxInsts uint64) (Stats, error) {
-	return ResumeContext(context.Background(), snap, prog, pred, maxInsts)
-}
-
-// ResumeContext is Resume honoring ctx with the same commit-batch
-// cancellation semantics as RunContext.
-func ResumeContext(ctx context.Context, snap *Snapshot, prog *Program, pred Predictor, maxInsts uint64) (Stats, error) {
-	sim, err := pipeline.RestoreSim(snap)
-	if err != nil {
-		return Stats{}, err
-	}
-	return sim.ResumeContext(ctx, snap, prog.p, pred, maxInsts)
-}
 
 // Service job re-exports (see internal/exp and internal/server): a
 // JobSpec is the unit of work the rvpd simulation service accepts —

@@ -1,7 +1,8 @@
 package rvpsim_test
 
 import (
-	"context"
+	"bytes"
+	"encoding/json"
 	"errors"
 	"path/filepath"
 	"testing"
@@ -40,7 +41,7 @@ func TestFacadeAssembleAndRun(t *testing.T) {
 	if prog.Name() != "t" || prog.Len() == 0 {
 		t.Errorf("program meta wrong: %s %d", prog.Name(), prog.Len())
 	}
-	st, err := rvpsim.Run(prog, rvpsim.BaselineConfig(), rvpsim.NoPrediction(), 50_000)
+	st, err := rvpsim.Run(t.Context(), prog, rvpsim.BaselineConfig(), rvpsim.NoPrediction(), rvpsim.RunOptions{MaxInsts: 50_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestFacadePredictors(t *testing.T) {
 		lvp,
 	}
 	for _, p := range preds {
-		st, err := rvpsim.Run(prog, rvpsim.BaselineConfig(), p, 30_000)
+		st, err := rvpsim.Run(t.Context(), prog, rvpsim.BaselineConfig(), p, rvpsim.RunOptions{MaxInsts: 30_000})
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
 		}
@@ -118,7 +119,7 @@ func TestFacadeProfileHintsAndStatic(t *testing.T) {
 		t.Fatal("no loads marked for static RVP")
 	}
 	hints := prof.Hints(0.8, rvpsim.SupportDeadLV, false)
-	st, err := rvpsim.Run(prog, rvpsim.BaselineConfig(), rvpsim.StaticRVP(marked, hints), 50_000)
+	st, err := rvpsim.Run(t.Context(), prog, rvpsim.BaselineConfig(), rvpsim.StaticRVP(marked, hints), rvpsim.RunOptions{MaxInsts: 50_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestFacadeReallocate(t *testing.T) {
 	if report.LVApplied+report.DeadApplied+report.LVDropped+report.DeadDropped == 0 {
 		t.Error("re-allocation saw no reuse candidates on hydro2d")
 	}
-	if _, err := rvpsim.Run(rewritten, rvpsim.BaselineConfig(), rvpsim.DynamicRVP(), 50_000); err != nil {
+	if _, err := rvpsim.Run(t.Context(), rewritten, rvpsim.BaselineConfig(), rvpsim.DynamicRVP(), rvpsim.RunOptions{MaxInsts: 50_000}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -160,11 +161,11 @@ func TestFacadeSpeedupOnReusefulProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := rvpsim.BaselineConfig()
-	base, err := rvpsim.Run(prog, cfg, rvpsim.NoPrediction(), 200_000)
+	base, err := rvpsim.Run(t.Context(), prog, cfg, rvpsim.NoPrediction(), rvpsim.RunOptions{MaxInsts: 200_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rvp, err := rvpsim.Run(prog, cfg, rvpsim.DynamicRVP(), 200_000)
+	rvp, err := rvpsim.Run(t.Context(), prog, cfg, rvpsim.DynamicRVP(), rvpsim.RunOptions{MaxInsts: 200_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,14 +201,25 @@ func TestFacadeRunTraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var n int
-	st, err := rvpsim.RunTraced(prog, rvpsim.BaselineConfig(), rvpsim.DynamicRVP(), 10_000,
-		func(tr rvpsim.TraceRecord) { n++ })
+	// A registry-less observer with one function sink sees every commit.
+	var n uint64
+	o := &rvpsim.Observer{}
+	o.AddSink(rvpsim.SinkFunc(func(e *rvpsim.Event) {
+		if e.Seq != n {
+			t.Errorf("event %d carries seq %d", n, e.Seq)
+		}
+		n++
+	}))
+	st, err := rvpsim.Run(t.Context(), prog, rvpsim.BaselineConfig(), rvpsim.DynamicRVP(),
+		rvpsim.RunOptions{MaxInsts: 10_000, Observer: o})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if uint64(n) != st.Committed {
-		t.Errorf("traced %d records, committed %d", n, st.Committed)
+	if n != st.Committed {
+		t.Errorf("observed %d events, committed %d", n, st.Committed)
+	}
+	if o.Registry() != nil {
+		t.Error("zero observer grew a registry")
 	}
 	if prog.InstString(0) == "" || prog.InstString(1<<30) != "<out of range>" {
 		t.Error("InstString misbehaves")
@@ -238,7 +250,7 @@ func TestFacadeCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := rvpsim.BaselineConfig()
-	ref, err := rvpsim.Run(prog, cfg, rvpsim.DynamicRVP(), 30_000)
+	ref, err := rvpsim.Run(t.Context(), prog, cfg, rvpsim.DynamicRVP(), rvpsim.RunOptions{MaxInsts: 30_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,11 +258,14 @@ func TestFacadeCheckpointResume(t *testing.T) {
 	// Run the first 12k instructions, checkpointing to disk along the way.
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	saves := 0
-	_, err = rvpsim.RunCheckpointed(context.Background(), prog, cfg, rvpsim.DynamicRVP(), 12_000, 4_000,
-		func(snap *rvpsim.Snapshot) error {
+	_, err = rvpsim.Run(t.Context(), prog, cfg, rvpsim.DynamicRVP(), rvpsim.RunOptions{
+		MaxInsts:        12_000,
+		CheckpointEvery: 4_000,
+		OnCheckpoint: func(snap *rvpsim.Snapshot) error {
 			saves++
 			return rvpsim.SaveCheckpoint(path, snap)
-		})
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +279,8 @@ func TestFacadeCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := rvpsim.Resume(snap, prog, rvpsim.DynamicRVP(), 30_000)
+	resume := rvpsim.RunOptions{MaxInsts: 30_000, Resume: snap}
+	got, err := rvpsim.Run(t.Context(), prog, cfg, rvpsim.DynamicRVP(), resume)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,8 +293,12 @@ func TestFacadeCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rvpsim.Resume(snap, other, rvpsim.DynamicRVP(), 30_000); !errors.Is(err, rvpsim.ErrCorrupt) {
+	if _, err := rvpsim.Run(t.Context(), other, cfg, rvpsim.DynamicRVP(), resume); !errors.Is(err, rvpsim.ErrCorrupt) {
 		t.Errorf("wrong-program resume: want ErrCorrupt, got %v", err)
+	}
+	// So is a resume under a machine the snapshot was not taken on.
+	if _, err := rvpsim.Run(t.Context(), prog, rvpsim.AggressiveConfig(), rvpsim.DynamicRVP(), resume); !errors.Is(err, rvpsim.ErrCorrupt) {
+		t.Errorf("wrong-config resume: want ErrCorrupt, got %v", err)
 	}
 }
 
@@ -294,5 +314,65 @@ func TestFacadeValidate(t *testing.T) {
 	}
 	if res.Committed == 0 || res.StateChecks == 0 {
 		t.Errorf("empty validation run: %+v", res)
+	}
+}
+
+// TestJSONLStreamMatchesSink: a JSONL trace of a short li run decodes to
+// exactly the events a function sink on the same run saw, including the
+// architectural fields (pc, wrote_rd, rd, value).
+func TestJSONLStreamMatchesSink(t *testing.T) {
+	prog, err := rvpsim.Workload("li")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	var seen []rvpsim.Event
+	o := &rvpsim.Observer{}
+	o.AddSink(rvpsim.NewJSONLTrace(&buf))
+	o.AddSink(rvpsim.SinkFunc(func(e *rvpsim.Event) { seen = append(seen, *e) }))
+	st, err := rvpsim.Run(t.Context(), prog, rvpsim.BaselineConfig(), rvpsim.DynamicRVP(),
+		rvpsim.RunOptions{MaxInsts: 5_000, Observer: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if uint64(len(seen)) != st.Committed {
+		t.Fatalf("sink saw %d events, committed %d", len(seen), st.Committed)
+	}
+
+	// The wire names are part of the format.
+	first, _, _ := bytes.Cut(buf.Bytes(), []byte("\n"))
+	for _, key := range []string{`"seq":`, `"pc":`, `"wrote_rd":`, `"rd":`, `"value":`} {
+		if !bytes.Contains(first, []byte(key)) {
+			t.Errorf("JSONL line %s lacks %s", first, key)
+		}
+	}
+
+	var wrote, predicted int
+	dec := json.NewDecoder(&buf)
+	dec.DisallowUnknownFields()
+	for i, want := range seen {
+		var got rvpsim.Event
+		if err := dec.Decode(&got); err != nil {
+			t.Fatalf("line %d: %v", i, err)
+		}
+		if got != want {
+			t.Fatalf("line %d decodes to %+v, sink saw %+v", i, got, want)
+		}
+		if got.WroteRd {
+			wrote++
+		}
+		if got.Predicted {
+			predicted++
+		}
+	}
+	if dec.More() {
+		t.Fatal("JSONL stream has more lines than the sink saw events")
+	}
+	// The comparison is vacuous unless the new fields carry data.
+	if wrote == 0 || predicted == 0 || seen[len(seen)-1].PC == 0 {
+		t.Errorf("degenerate stream: %d rd writes, %d predictions, last pc %#x", wrote, predicted, seen[len(seen)-1].PC)
 	}
 }
