@@ -9,7 +9,7 @@
 //	     [-drain-timeout dur] [-breaker-threshold n] [-breaker-cooloff dur]
 //	     [-insts n] [-ckpt-every n] [-watchdog cycles] [-max-body bytes]
 //	     [-body-read-timeout dur] [-log-level level] [-log-json]
-//	     [-progress-every n] [-no-telemetry]
+//	     [-progress-every n]
 //
 // Endpoints: POST /v1/jobs (submit; 429/503 + Retry-After under
 // overload), GET /v1/jobs/{id} (status/results), GET /v1/jobs/{id}/events
@@ -72,7 +72,6 @@ func run() int {
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	logJSON := flag.Bool("log-json", false, "emit logs as JSON instead of text")
 	progressEvery := flag.Uint64("progress-every", 100_000, "live-progress heartbeat cadence in committed instructions")
-	noTelemetry := flag.Bool("no-telemetry", false, "disable job tracing, event streams and the flight recorder (benchmarking)")
 	flag.Parse()
 
 	var level slog.Level
@@ -106,7 +105,6 @@ func run() int {
 		BodyReadTimeout:  *bodyReadTimeout,
 		Logger:           logger,
 		ProgressEvery:    *progressEvery,
-		DisableTelemetry: *noTelemetry,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rvpd: %v\n", err)

@@ -110,15 +110,11 @@ func main() {
 		fatal(err)
 	}
 
-	type agg struct {
-		execs, predicted, correct uint64
-		lat                       int64
-	}
-	perInst := map[int]*agg{}
+	perInst := map[int]*instAgg{}
 	record := func(e *rvpsim.Event) {
 		a := perInst[e.Index]
 		if a == nil {
-			a = &agg{}
+			a = &instAgg{}
 			perInst[e.Index] = a
 		}
 		a.execs++
@@ -195,19 +191,9 @@ func main() {
 		st.StallWindow, st.StallIntIQ, st.StallFPIQ)
 
 	if *top > 0 {
-		idxs := make([]int, 0, len(perInst))
-		for i := range perInst {
-			idxs = append(idxs, i)
-		}
-		sort.Slice(idxs, func(a, b int) bool {
-			return perInst[idxs[a]].predicted > perInst[idxs[b]].predicted
-		})
-		if len(idxs) > *top {
-			idxs = idxs[:*top]
-		}
 		fmt.Printf("\nmost-predicted static instructions:\n")
 		fmt.Printf("%8s %-28s %10s %10s %8s %9s\n", "index", "instruction", "execs", "predicted", "acc%", "avg lat")
-		for _, i := range idxs {
+		for _, i := range mostPredicted(perInst, *top) {
 			a := perInst[i]
 			if a.predicted == 0 {
 				break
@@ -218,6 +204,33 @@ func main() {
 				float64(a.lat)/float64(a.execs))
 		}
 	}
+}
+
+// instAgg is one static instruction's row in the -top report.
+type instAgg struct {
+	execs, predicted, correct uint64
+	lat                       int64
+}
+
+// mostPredicted returns the static indices of the n most-predicted
+// instructions, most predictions first; equal counts keep static index
+// order, so the report does not depend on map iteration order.
+func mostPredicted(perInst map[int]*instAgg, n int) []int {
+	idxs := make([]int, 0, len(perInst))
+	for i := range perInst {
+		idxs = append(idxs, i)
+	}
+	sort.Slice(idxs, func(a, b int) bool {
+		pa, pb := perInst[idxs[a]].predicted, perInst[idxs[b]].predicted
+		if pa != pb {
+			return pa > pb
+		}
+		return idxs[a] < idxs[b]
+	})
+	if len(idxs) > n {
+		idxs = idxs[:n]
+	}
+	return idxs
 }
 
 func loadProgram(wl, file string) (*rvpsim.Program, error) {

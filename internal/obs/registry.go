@@ -321,78 +321,96 @@ func LinearBuckets(start, width int64, n int) []int64 {
 
 // Registry holds named instruments. Registration is idempotent: asking
 // for an existing name returns the existing instrument (histograms must
-// re-state identical bounds). Lookups take a mutex; hold the returned
-// instrument, not the registry, in hot code.
+// re-state identical bounds). Hold the returned instrument, not the
+// registry, in hot code.
+//
+// The name table is copy-on-write behind an atomic pointer: a lookup of
+// a registered name takes no lock, and a new name publishes a new table
+// with compare-and-swap. Parallel simulators that resolve their
+// instruments at the start and end of every run therefore never
+// serialize on the registry.
 type Registry struct {
-	mu    sync.Mutex
-	order []string
-	kinds map[string]string // name -> counter|gauge|gaugevec|histogram
-	ctrs  map[string]*Counter
-	gaus  map[string]*Gauge
-	gvecs map[string]*GaugeVec
-	hists map[string]*Histogram
+	names atomic.Pointer[nameTable]
+}
+
+// nameTable is one immutable version of a registry's instruments.
+type nameTable struct {
+	order  []string       // registration order
+	byName map[string]any // *Counter, *Gauge, *GaugeVec or *Histogram
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		kinds: map[string]string{},
-		ctrs:  map[string]*Counter{},
-		gaus:  map[string]*Gauge{},
-		gvecs: map[string]*GaugeVec{},
-		hists: map[string]*Histogram{},
+func NewRegistry() *Registry { return &Registry{} }
+
+// table returns the current name table (empty before any registration).
+func (r *Registry) table() *nameTable {
+	if t := r.names.Load(); t != nil {
+		return t
 	}
+	return &nameTable{}
 }
 
-func (r *Registry) claim(name, kind string) {
-	if have, ok := r.kinds[name]; ok {
-		if have != kind {
-			panic(fmt.Sprintf("obs: metric %q registered as %s and %s", name, have, kind))
-		}
-		return
+// kindOf names an instrument's kind for registration-conflict panics.
+func kindOf(inst any) string {
+	switch inst.(type) {
+	case *Counter:
+		return "counter"
+	case *Gauge:
+		return "gauge"
+	case *GaugeVec:
+		return "gaugevec"
 	}
-	r.kinds[name] = kind
-	r.order = append(r.order, name)
+	return "histogram"
+}
+
+// register returns the instrument of type T registered under name,
+// registering the one mk builds when the name is new. A name registered
+// as another kind panics.
+func register[T any](r *Registry, name string, mk func() *T) *T {
+	for {
+		old := r.names.Load()
+		t := old
+		if t == nil {
+			t = &nameTable{}
+		}
+		if inst, ok := t.byName[name]; ok {
+			got, ok := inst.(*T)
+			if !ok {
+				panic(fmt.Sprintf("obs: metric %q registered as %s and %s", name, kindOf(inst), kindOf(new(T))))
+			}
+			return got
+		}
+		inst := mk()
+		next := &nameTable{
+			order:  append(t.order[:len(t.order):len(t.order)], name),
+			byName: make(map[string]any, len(t.byName)+1),
+		}
+		for n, v := range t.byName {
+			next.byName[n] = v
+		}
+		next.byName[name] = inst
+		if r.names.CompareAndSwap(old, next) {
+			return inst
+		}
+	}
 }
 
 // Counter returns (registering if needed) the named counter.
 func (r *Registry) Counter(name, help string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.claim(name, "counter")
-	c, ok := r.ctrs[name]
-	if !ok {
-		c = &Counter{name: name, help: help}
-		r.ctrs[name] = c
-	}
-	return c
+	return register(r, name, func() *Counter { return &Counter{name: name, help: help} })
 }
 
 // Gauge returns (registering if needed) the named gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.claim(name, "gauge")
-	g, ok := r.gaus[name]
-	if !ok {
-		g = &Gauge{name: name, help: help}
-		r.gaus[name] = g
-	}
-	return g
+	return register(r, name, func() *Gauge { return &Gauge{name: name, help: help} })
 }
 
 // GaugeVec returns (registering if needed) the named labeled gauge
 // family. A second registration must use the same label name.
 func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.claim(name, "gaugevec")
-	v, ok := r.gvecs[name]
-	if !ok {
-		v = &GaugeVec{name: name, help: help, label: label, gauges: map[string]*Gauge{}}
-		r.gvecs[name] = v
-		return v
-	}
+	v := register(r, name, func() *GaugeVec {
+		return &GaugeVec{name: name, help: help, label: label, gauges: map[string]*Gauge{}}
+	})
 	if v.label != label {
 		panic(fmt.Sprintf("obs: gauge vec %q registered with labels %q and %q", name, v.label, label))
 	}
@@ -408,21 +426,15 @@ func (r *Registry) Histogram(name, help string, bounds []int64) *Histogram {
 	if !sort.SliceIsSorted(bounds, func(i, j int) bool { return bounds[i] < bounds[j] }) {
 		panic(fmt.Sprintf("obs: histogram %s: bounds not strictly ascending", name))
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.claim(name, "histogram")
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{
+	h := register(r, name, func() *Histogram {
+		return &Histogram{
 			name:   name,
 			help:   help,
 			bounds: append([]int64(nil), bounds...),
 			pow2:   isPow2Bounds(bounds),
 			counts: make([]atomic.Int64, len(bounds)+1),
 		}
-		r.hists[name] = h
-		return h
-	}
+	})
 	if len(h.bounds) != len(bounds) {
 		panic(fmt.Sprintf("obs: histogram %s re-registered with different bounds", name))
 	}
@@ -444,27 +456,25 @@ type Snapshot struct {
 
 // Snapshot copies the registry's current values.
 func (r *Registry) Snapshot() Snapshot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	s := Snapshot{
-		Counters:   make(map[string]int64, len(r.ctrs)),
-		Gauges:     make(map[string]int64, len(r.gaus)),
-		Histograms: make(map[string]HistogramSnapshot, len(r.hists)),
+		Counters:   map[string]int64{},
+		Gauges:     map[string]int64{},
+		Histograms: map[string]HistogramSnapshot{},
 	}
-	for n, c := range r.ctrs {
-		s.Counters[n] = c.Value()
-	}
-	for n, g := range r.gaus {
-		s.Gauges[n] = g.Value()
-	}
-	if len(r.gvecs) > 0 {
-		s.GaugeVecs = make(map[string]map[string]int64, len(r.gvecs))
-		for n, v := range r.gvecs {
-			s.GaugeVecs[n] = v.Values()
+	for name, inst := range r.table().byName {
+		switch inst := inst.(type) {
+		case *Counter:
+			s.Counters[name] = inst.Value()
+		case *Gauge:
+			s.Gauges[name] = inst.Value()
+		case *GaugeVec:
+			if s.GaugeVecs == nil {
+				s.GaugeVecs = map[string]map[string]int64{}
+			}
+			s.GaugeVecs[name] = inst.Values()
+		case *Histogram:
+			s.Histograms[name] = inst.Snapshot()
 		}
-	}
-	for n, h := range r.hists {
-		s.Histograms[n] = h.Snapshot()
 	}
 	return s
 }
@@ -473,41 +483,20 @@ func (r *Registry) Snapshot() Snapshot {
 // missing names. Counter values add, gauges take the other's value, and
 // histograms merge per bucket (bounds must match).
 func (r *Registry) Merge(o *Registry) error {
-	o.mu.Lock()
-	names := append([]string(nil), o.order...)
-	kinds := make(map[string]string, len(o.kinds))
-	for k, v := range o.kinds {
-		kinds[k] = v
-	}
-	o.mu.Unlock()
-	for _, name := range names {
-		switch kinds[name] {
-		case "counter":
-			o.mu.Lock()
-			v := o.ctrs[name].Value()
-			help := o.ctrs[name].help
-			o.mu.Unlock()
-			r.Counter(name, help).Add(v)
-		case "gauge":
-			o.mu.Lock()
-			v := o.gaus[name].Value()
-			help := o.gaus[name].help
-			o.mu.Unlock()
-			r.Gauge(name, help).Set(v)
-		case "gaugevec":
-			o.mu.Lock()
-			ov := o.gvecs[name]
-			o.mu.Unlock()
-			v := r.GaugeVec(name, ov.help, ov.label)
-			for label, val := range ov.Values() {
+	t := o.table()
+	for _, name := range t.order {
+		switch inst := t.byName[name].(type) {
+		case *Counter:
+			r.Counter(name, inst.help).Add(inst.Value())
+		case *Gauge:
+			r.Gauge(name, inst.help).Set(inst.Value())
+		case *GaugeVec:
+			v := r.GaugeVec(name, inst.help, inst.label)
+			for label, val := range inst.Values() {
 				v.With(label).Set(val)
 			}
-		case "histogram":
-			o.mu.Lock()
-			oh := o.hists[name]
-			o.mu.Unlock()
-			h := r.Histogram(name, oh.help, oh.bounds)
-			if err := h.Merge(oh); err != nil {
+		case *Histogram:
+			if err := r.Histogram(name, inst.help, inst.bounds).Merge(inst); err != nil {
 				return err
 			}
 		}
@@ -518,69 +507,51 @@ func (r *Registry) Merge(o *Registry) error {
 // WritePrometheus renders every instrument in Prometheus text exposition
 // format (version 0.0.4), in registration order.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	order := append([]string(nil), r.order...)
-	kinds := make(map[string]string, len(r.kinds))
-	for k, v := range r.kinds {
-		kinds[k] = v
-	}
-	r.mu.Unlock()
-	for _, name := range order {
-		switch kinds[name] {
-		case "counter":
-			r.mu.Lock()
-			c := r.ctrs[name]
-			r.mu.Unlock()
-			if c.help != "" {
-				if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, c.help); err != nil {
+	t := r.table()
+	for _, name := range t.order {
+		switch inst := t.byName[name].(type) {
+		case *Counter:
+			if inst.help != "" {
+				if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, inst.help); err != nil {
 					return err
 				}
 			}
-			if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, c.Value()); err != nil {
+			if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, inst.Value()); err != nil {
 				return err
 			}
-		case "gauge":
-			r.mu.Lock()
-			g := r.gaus[name]
-			r.mu.Unlock()
-			if g.help != "" {
-				if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, g.help); err != nil {
+		case *Gauge:
+			if inst.help != "" {
+				if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, inst.help); err != nil {
 					return err
 				}
 			}
-			if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", name, name, g.Value()); err != nil {
+			if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", name, name, inst.Value()); err != nil {
 				return err
 			}
-		case "gaugevec":
-			r.mu.Lock()
-			v := r.gvecs[name]
-			r.mu.Unlock()
-			if v.help != "" {
-				if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, v.help); err != nil {
+		case *GaugeVec:
+			if inst.help != "" {
+				if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, inst.help); err != nil {
 					return err
 				}
 			}
 			if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n", name); err != nil {
 				return err
 			}
-			vals := v.Values()
+			vals := inst.Values()
 			labels := make([]string, 0, len(vals))
 			for label := range vals {
 				labels = append(labels, label)
 			}
 			sort.Strings(labels)
 			for _, label := range labels {
-				if _, err := fmt.Fprintf(w, "%s{%s=%q} %d\n", name, v.label, label, vals[label]); err != nil {
+				if _, err := fmt.Fprintf(w, "%s{%s=%q} %d\n", name, inst.label, label, vals[label]); err != nil {
 					return err
 				}
 			}
-		case "histogram":
-			r.mu.Lock()
-			h := r.hists[name]
-			r.mu.Unlock()
-			s := h.Snapshot()
-			if h.help != "" {
-				if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, h.help); err != nil {
+		case *Histogram:
+			s := inst.Snapshot()
+			if inst.help != "" {
+				if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, inst.help); err != nil {
 					return err
 				}
 			}

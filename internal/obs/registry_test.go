@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -182,7 +183,7 @@ func TestRegistryConcurrentSafety(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			c := r.Counter("shared_total", "")
 			h := r.Histogram("shared_hist", "", []int64{8, 64})
@@ -191,8 +192,12 @@ func TestRegistryConcurrentSafety(t *testing.T) {
 				c.Inc()
 				h.Observe(int64(i % 100))
 				g.Set(int64(i))
+				if i%1000 == 0 {
+					// Names registered concurrently must all survive.
+					r.Counter(fmt.Sprintf("w%d_%d_total", w, i), "").Inc()
+				}
 			}
-		}()
+		}(w)
 	}
 	// Concurrent readers exercise Snapshot and the exporter while
 	// writers are active; the race detector checks safety.
@@ -206,6 +211,15 @@ func TestRegistryConcurrentSafety(t *testing.T) {
 	}
 	if got := r.Histogram("shared_hist", "", []int64{8, 64}).Snapshot().Count; got != workers*perWorker {
 		t.Errorf("histogram count = %d, want %d", got, workers*perWorker)
+	}
+	ctrs := r.Snapshot().Counters
+	if want := 1 + workers*perWorker/1000; len(ctrs) != want {
+		t.Errorf("%d counters registered, want %d", len(ctrs), want)
+	}
+	for name, v := range ctrs {
+		if name != "shared_total" && v != 1 {
+			t.Errorf("%s = %d, want 1", name, v)
+		}
 	}
 }
 

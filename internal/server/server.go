@@ -70,10 +70,6 @@ type Config struct {
 	// Logger receives structured lifecycle logs (with job and trace
 	// IDs); nil discards them.
 	Logger *slog.Logger
-	// DisableTelemetry turns off job tracing, event feeds and the flight
-	// recorder. It exists for the serve-path overhead benchmark — the
-	// baseline it measures against — not for production use.
-	DisableTelemetry bool
 	// ProgressEvery is the live-heartbeat cadence in committed
 	// instructions (default 100k).
 	ProgressEvery uint64
@@ -166,8 +162,7 @@ type Server struct {
 	log     *slog.Logger
 
 	// tel and tracer are the observability layer: per-job event feeds
-	// (SSE + flight recorder) and the daemon's span collector. Both are
-	// nil with Config.DisableTelemetry, and every use is nil-safe.
+	// (SSE + flight recorder) and the daemon's span collector.
 	tel    *telemetry
 	tracer *obs.Tracer
 
@@ -230,10 +225,8 @@ func New(cfg Config) (*Server, error) {
 		breaker:  newBreaker(cfg.BreakerThreshold, cfg.BreakerCooloff),
 		log:      cfg.Logger,
 		stopPick: make(chan struct{}),
-	}
-	if !cfg.DisableTelemetry {
-		s.tel = newTelemetry(cfg.FlightRecorderSize, maxFeeds)
-		s.tracer = obs.NewTracer("rvpd", cfg.TracerCapacity)
+		tel:      newTelemetry(cfg.FlightRecorderSize, maxFeeds),
+		tracer:   obs.NewTracer("rvpd", cfg.TracerCapacity),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.initMetrics()
@@ -556,10 +549,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// span of this job. With no client trace headers it roots a fresh
 	// trace, so daemon-side tracing works for plain curl too.
 	tctx := clientSpanContext(r)
-	if s.tracer != nil {
-		tctx = s.tracer.Record(tctx, "admission", admitStart, time.Since(admitStart),
-			map[string]string{"job": id, "kind": spec.Kind})
-	}
+	tctx = s.tracer.Record(tctx, "admission", admitStart, time.Since(admitStart),
+		map[string]string{"job": id, "kind": spec.Kind})
 	rec := JobStatus{ID: id, Key: key, State: StateQueued, Spec: spec, TraceID: tctx.Trace}
 	if !deadline.IsZero() {
 		rec.DeadlineUS = deadline.UnixMicro()
@@ -713,9 +704,7 @@ func (s *Server) runJob(j *job) {
 	// the worker span then covers the whole attempt, and everything the
 	// experiment runner does parents under it.
 	tctx := j.tctx
-	if s.tracer != nil {
-		s.tracer.Record(tctx, "queue_wait", j.enqueued, wait, map[string]string{"job": j.id})
-	}
+	s.tracer.Record(tctx, "queue_wait", j.enqueued, wait, map[string]string{"job": j.id})
 	wsp := s.tracer.Start(tctx, "worker")
 	wsp.SetAttr("job", j.id)
 
@@ -760,23 +749,20 @@ func (s *Server) runJob(j *job) {
 		TraceParent:     wsp.Context(),
 		FS:              s.cfg.FS,
 		WALMetrics:      s.walMet,
-	}
-	if s.tel != nil {
 		// The heartbeat and checkpoint hooks run on simulation
 		// goroutines; publish is lock-bounded and never blocks, which is
 		// what makes them safe there.
-		id := j.id
-		opts.ProgressEvery = s.cfg.ProgressEvery
-		opts.OnProgress = func(label string, committed uint64, cycles int64) {
+		ProgressEvery: s.cfg.ProgressEvery,
+		OnProgress: func(label string, committed uint64, cycles int64) {
 			ev := JobEvent{Type: EvProgress, Label: label, Committed: committed, Cycles: cycles}
 			if cycles > 0 {
 				ev.IPC = float64(committed) / float64(cycles)
 			}
-			s.tel.publish(id, ev)
-		}
-		opts.OnCheckpoint = func(label string) {
-			s.tel.publish(id, JobEvent{Type: EvCheckpointed, Label: label})
-		}
+			s.tel.publish(j.id, ev)
+		},
+		OnCheckpoint: func(label string) {
+			s.tel.publish(j.id, JobEvent{Type: EvCheckpointed, Label: label})
+		},
 	}
 	start := time.Now()
 	res, err := exp.RunJob(ctx, j.spec, opts)
@@ -894,10 +880,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	rec, ok := s.store.Get(id)
 	if !ok {
 		reject(w, http.StatusNotFound, "unknown job "+id, 0)
-		return
-	}
-	if s.tracer == nil {
-		reject(w, http.StatusNotImplemented, "telemetry disabled on this daemon", 0)
 		return
 	}
 	if rec.TraceID == "" {

@@ -22,8 +22,9 @@
 //
 // Custom programs are written in the simulator's assembly dialect (see
 // package internal/asm for the syntax) and assembled with Assemble. Every
-// table and figure from the paper's evaluation section is regenerated by
-// the Experiments type (or the cmd/experiments binary).
+// figure from the paper's evaluation section is regenerated by a
+// "figure" RunJob (or the cmd/experiments binary, which also renders
+// Tables 1 and 2).
 package rvpsim
 
 import (
@@ -398,46 +399,8 @@ func Reallocate(prog *Program, prof *Profile, threshold float64) (*Program, Real
 	}, nil
 }
 
-// ExperimentOptions scales the paper-reproduction experiment drivers.
+// ExperimentOptions configures the experiment runner behind RunJob.
 type ExperimentOptions = exp.Options
-
-// Experiments regenerates the paper's tables and figures.
-type Experiments struct {
-	r *exp.Runner
-}
-
-// NewExperiments builds an experiment runner; zero-valued options take
-// laptop-scale defaults.
-func NewExperiments(opts ExperimentOptions) *Experiments {
-	return &Experiments{r: exp.NewRunner(opts)}
-}
-
-// Figure1 reproduces the register-value reuse degrees for loads.
-func (e *Experiments) Figure1() (*Table, error) { return e.r.Figure1() }
-
-// Figure3 reproduces the static-RVP IPC comparison.
-func (e *Experiments) Figure3() (*Table, error) { return e.r.Figure3() }
-
-// Figure4 reproduces the recovery-mechanism comparison.
-func (e *Experiments) Figure4() (*Table, error) { return e.r.Figure4() }
-
-// Figure5 reproduces dynamic RVP for loads (speedups).
-func (e *Experiments) Figure5() (*Table, error) { return e.r.Figure5() }
-
-// Figure6 reproduces dynamic RVP for all instructions (speedups).
-func (e *Experiments) Figure6() (*Table, error) { return e.r.Figure6() }
-
-// Table2 reproduces prediction coverage and accuracy.
-func (e *Experiments) Table2() (coverage, accuracy *Table, err error) { return e.r.Table2() }
-
-// Figure7 reproduces the realistic register re-allocation study.
-func (e *Experiments) Figure7() (*Table, error) { return e.r.Figure7() }
-
-// Figure8 reproduces the 16-wide machine study.
-func (e *Experiments) Figure8() (*Table, error) { return e.r.Figure8() }
-
-// Table1 renders the simulated machine configuration.
-func (e *Experiments) Table1() string { return e.r.Table1() }
 
 // Snapshot is the complete, serializable state of a run at an
 // instruction boundary: architectural state, every microarchitectural

@@ -178,18 +178,18 @@ func TestFacadeExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment drivers are exercised in internal/exp")
 	}
-	e := rvpsim.NewExperiments(rvpsim.ExperimentOptions{
-		Insts: 40_000, ProfileInsts: 20_000, Threshold: 0.8, Parallel: true,
-	})
-	tab, err := e.Figure1()
+	res, err := rvpsim.RunJob(t.Context(), rvpsim.JobSpec{
+		Kind: "figure", Figure: "fig1", Insts: 40_000, ProfileInsts: 20_000, Threshold: 0.8,
+	}, rvpsim.ExperimentOptions{Parallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := res.Table
+	if tab == nil {
+		t.Fatal("figure job returned no table")
+	}
 	if len(tab.RowLabels()) != 4 {
 		t.Errorf("Figure1 rows = %v", tab.RowLabels())
-	}
-	if s := e.Table1(); s == "" {
-		t.Error("Table1 empty")
 	}
 	if md := tab.Markdown(); md == "" {
 		t.Error("markdown rendering empty")
