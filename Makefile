@@ -55,6 +55,7 @@ bench-smoke:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAssemble -fuzztime 30s ./internal/asm
 	$(GO) test -run '^$$' -fuzz FuzzEncodeDecode -fuzztime 30s ./internal/isa
+	$(GO) test -run '^$$' -fuzz FuzzRunMatchesStep -fuzztime 30s ./internal/emu
 	$(GO) test -run '^$$' -fuzz FuzzJobRequest -fuzztime 30s ./internal/server
 
 # Static analysis and vulnerability scanning, gated on tool presence:

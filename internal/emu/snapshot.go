@@ -49,8 +49,7 @@ func Restore(prog *program.Program, snap Snapshot) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &State{Prog: prog, Mem: m, Regs: snap.Regs, PC: snap.PC, Halted: snap.Halted, Count: snap.Count}
-	return s, nil
+	return restored(prog, m, snap), nil
 }
 
 // Fork is Restore with copy-on-write memory: the snapshot's pages are
@@ -70,6 +69,11 @@ func Fork(prog *program.Program, snap Snapshot) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &State{Prog: prog, Mem: m, Regs: snap.Regs, PC: snap.PC, Halted: snap.Halted, Count: snap.Count}
-	return s, nil
+	return restored(prog, m, snap), nil
+}
+
+// restored builds the state Restore and Fork return around memory m.
+func restored(prog *program.Program, m *mem.Memory, snap Snapshot) *State {
+	return &State{Prog: prog, Mem: m, Regs: snap.Regs, PC: snap.PC, Halted: snap.Halted,
+		Count: snap.Count, code: predecode(prog)}
 }

@@ -103,7 +103,9 @@ type Options struct {
 
 // Run profiles prog. It executes the program twice: once to gather reuse
 // statistics and select correlated registers, once to attribute primary
-// producers for the selected registers.
+// producers for the selected registers. Both passes step one reused
+// execution record and keep their per-instruction state in slices indexed
+// by static instruction, so neither allocates per executed instruction.
 func Run(prog *program.Program, opts Options) (*Profile, error) {
 	if opts.MinExecs == 0 {
 		opts.MinExecs = 16
@@ -114,15 +116,17 @@ func Run(prog *program.Program, opts Options) (*Profile, error) {
 	}
 
 	p := &Profile{Prog: prog, Insts: make(map[int]*InstStats)}
-	regHits := make(map[int]*[isa.NumRegs]uint64) // per-inst per-register
+	n := len(prog.Insts)
+	stats := make([]*InstStats, n)
+	regHits := make([]*[isa.NumRegs]uint64, n) // per-inst per-register
 
 	// Pass 1: reuse counting.
 	st, err := emu.New(prog)
 	if err != nil {
 		return nil, err
 	}
-	var lastVal = make(map[int]uint64)
-	var lastSeen = make(map[int]bool)
+	lastVal := make([]uint64, n)
+	lastSeen := make([]bool, n)
 	// Chain heights for the critical-path profile.
 	var height [isa.NumRegs]uint64
 	var producerIdx [isa.NumRegs]int
@@ -130,14 +134,10 @@ func Run(prog *program.Program, opts Options) (*Profile, error) {
 		producerIdx[i] = -1
 	}
 
-	for {
-		if opts.MaxInsts > 0 && p.Total >= opts.MaxInsts {
-			break
-		}
-		// Snapshot register values before the step.
-		regs := st.Regs
-		e, ok := st.Step()
-		if !ok {
+	var e emu.Exec
+	srcs := make([]isa.Reg, 0, 2)
+	for opts.MaxInsts == 0 || p.Total < opts.MaxInsts {
+		if !st.StepInto(&e) {
 			break
 		}
 		p.Total++
@@ -148,7 +148,8 @@ func Run(prog *program.Program, opts Options) (*Profile, error) {
 		// Critical-path credit: the maximal-height source's producer.
 		var h uint64
 		bestSrc := -1
-		for _, r := range e.Inst.Sources(nil) {
+		srcs = e.Inst.Sources(srcs[:0])
+		for _, r := range srcs {
 			if r.IsZero() {
 				continue
 			}
@@ -158,7 +159,7 @@ func Run(prog *program.Program, opts Options) (*Profile, error) {
 			}
 		}
 		if bestSrc >= 0 {
-			if bs := p.Insts[bestSrc]; bs != nil {
+			if bs := stats[bestSrc]; bs != nil {
 				bs.CritHits++
 			}
 		}
@@ -166,9 +167,10 @@ func Run(prog *program.Program, opts Options) (*Profile, error) {
 		if !e.WroteRd {
 			continue
 		}
-		is := p.Insts[e.Index]
+		is := stats[e.Index]
 		if is == nil {
 			is = &InstStats{Index: e.Index, Inst: e.Inst, DeadProducer: -1, LiveProducer: -1}
+			stats[e.Index] = is
 			p.Insts[e.Index] = is
 			regHits[e.Index] = &[isa.NumRegs]uint64{}
 		}
@@ -184,6 +186,8 @@ func Run(prog *program.Program, opts Options) (*Profile, error) {
 		lastVal[e.Index] = v
 		lastSeen[e.Index] = true
 
+		// The step wrote only Rd, so every other register still holds the
+		// value it had when the instruction executed.
 		any, dead := false, false
 		hits := regHits[e.Index]
 		for r := 0; r < isa.NumRegs; r++ {
@@ -191,7 +195,7 @@ func Run(prog *program.Program, opts Options) (*Profile, error) {
 			if reg.IsZero() || reg == e.Inst.Rd {
 				continue
 			}
-			if regs[r] == v {
+			if st.Regs[r] == v {
 				hits[r]++
 				any = true
 				if live.deadBefore(e.Index, reg) {
@@ -216,7 +220,10 @@ func Run(prog *program.Program, opts Options) (*Profile, error) {
 	}
 
 	// Select best dead and live correlated registers per instruction.
-	for idx, is := range p.Insts {
+	for idx, is := range stats {
+		if is == nil {
+			continue
+		}
 		hits := regHits[idx]
 		for r := 0; r < isa.NumRegs; r++ {
 			reg := isa.Reg(r)
@@ -236,7 +243,7 @@ func Run(prog *program.Program, opts Options) (*Profile, error) {
 	}
 
 	// Pass 2: primary producers of the selected correlated registers.
-	if err := p.attributeProducers(opts); err != nil {
+	if err := p.attributeProducers(stats, opts); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -244,13 +251,12 @@ func Run(prog *program.Program, opts Options) (*Profile, error) {
 
 // attributeProducers re-runs the program, tracking the last static writer
 // of each architectural register, and attributes the majority producer of
-// each instruction's best dead/live correlated register.
-func (p *Profile) attributeProducers(opts Options) error {
-	type key struct {
-		inst int
-		dead bool
-	}
-	counts := make(map[key]map[int]uint64)
+// each instruction's best dead/live correlated register. stats is pass 1's
+// profile indexed by static instruction.
+func (p *Profile) attributeProducers(stats []*InstStats, opts Options) error {
+	// counts[2*i] and counts[2*i+1] count the producers of instruction
+	// i's best dead and best live register values.
+	counts := make([]map[int]uint64, 2*len(stats))
 	st, err := emu.New(p.Prog)
 	if err != nil {
 		return err
@@ -259,45 +265,41 @@ func (p *Profile) attributeProducers(opts Options) error {
 	for i := range lastWriter {
 		lastWriter[i] = -1
 	}
-	var n uint64
-	for {
-		if opts.MaxInsts > 0 && n >= opts.MaxInsts {
+	var e emu.Exec
+	// credit counts the last writer of reg when reg holds the value just
+	// written. A best correlated register is never the destination, so its
+	// value after the step is its value before it.
+	credit := func(reg isa.Reg, slot int) {
+		if reg.IsZero() || st.Regs[reg] != e.NewDest {
+			return
+		}
+		w := lastWriter[reg]
+		if w < 0 {
+			return
+		}
+		m := counts[slot]
+		if m == nil {
+			m = make(map[int]uint64)
+			counts[slot] = m
+		}
+		m[w]++
+	}
+	for n := uint64(0); opts.MaxInsts == 0 || n < opts.MaxInsts; n++ {
+		if !st.StepInto(&e) {
 			break
 		}
-		regs := st.Regs
-		e, ok := st.Step()
-		if !ok {
-			break
-		}
-		n++
 		if !e.WroteRd {
 			continue
 		}
-		is := p.Insts[e.Index]
+		is := stats[e.Index]
 		if is == nil {
 			continue
 		}
-		record := func(reg isa.Reg, dead bool) {
-			if reg.IsZero() || regs[reg] != e.NewDest {
-				return
-			}
-			w := lastWriter[reg]
-			if w < 0 {
-				return
-			}
-			k := key{e.Index, dead}
-			m := counts[k]
-			if m == nil {
-				m = make(map[int]uint64)
-				counts[k] = m
-			}
-			m[w]++
-		}
 		if is.BestDeadHits > 0 {
-			record(is.BestDead, true)
+			credit(is.BestDead, 2*e.Index)
 		}
 		if is.BestLiveHits > 0 {
-			record(is.BestLive, false)
+			credit(is.BestLive, 2*e.Index+1)
 		}
 		lastWriter[e.Inst.Rd] = e.Index
 	}
@@ -316,11 +318,14 @@ func (p *Profile) attributeProducers(opts Options) error {
 		}
 		return best
 	}
-	for idx, is := range p.Insts {
-		if m := counts[key{idx, true}]; m != nil {
+	for idx, is := range stats {
+		if is == nil {
+			continue
+		}
+		if m := counts[2*idx]; m != nil {
 			is.DeadProducer = majority(m)
 		}
-		if m := counts[key{idx, false}]; m != nil {
+		if m := counts[2*idx+1]; m != nil {
 			is.LiveProducer = majority(m)
 		}
 	}
